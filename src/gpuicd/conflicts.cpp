@@ -84,23 +84,6 @@ double interSvConflictMultiplier(const std::vector<const SvbPlan*>& batch,
   return std::max(1.0, sum_w2 / sum_w);
 }
 
-namespace {
-
-/// Does SV `a`'s sweep conflict with SV `b`'s at device semantics? True
-/// when a's rect expanded by the 1-voxel read ring (clamped to the image)
-/// intersects b's written rect, or vice versa. Write/write overlap is
-/// subsumed: touching write rects always intersect the other's ring.
-bool svSweepsConflict(const SuperVoxel& a, const SuperVoxel& b, int n) {
-  const auto ring_hits = [n](const SuperVoxel& u, const SuperVoxel& v) {
-    const int r0 = std::max(0, u.row0 - 1), r1 = std::min(n, u.row1 + 1);
-    const int c0 = std::max(0, u.col0 - 1), c1 = std::min(n, u.col1 + 1);
-    return r0 < v.row1 && v.row0 < r1 && c0 < v.col1 && v.col0 < c1;
-  };
-  return ring_hits(a, b) || ring_hits(b, a);
-}
-
-}  // namespace
-
 int scheduleImageConflicts(const SvGrid& grid, const std::vector<int>& group,
                            gsim::RaceDetector* detector) {
   const int n = grid.imageSize();
@@ -109,8 +92,7 @@ int scheduleImageConflicts(const SvGrid& grid, const std::vector<int>& group,
   int analytic = 0;
   for (std::size_t i = 0; i < group.size(); ++i)
     for (std::size_t j = i + 1; j < group.size(); ++j)
-      if (svSweepsConflict(grid.sv(group[i]), grid.sv(group[j]), n))
-        ++analytic;
+      if (grid.svSweepsConflict(group[i], group[j])) ++analytic;
 
   // Implementation 2: the race detector over the same geometry, declared
   // exactly like the mbir_update kernel — one block per SV, write rows of

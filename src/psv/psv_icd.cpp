@@ -1,7 +1,9 @@
 #include "psv/psv_icd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
 #include <mutex>
 #include <optional>
@@ -18,10 +20,13 @@ namespace mbir {
 
 namespace {
 
-// Boundary voxels are shared by adjacent SVs, which PSV-ICD updates
-// concurrently (the algorithm tolerates the resulting staleness — §3.2).
-// All image accesses on the parallel path therefore go through relaxed
-// atomics so the races are well-defined.
+// Boundary voxels are shared by adjacent SVs. SvClaims never runs two SVs
+// whose sweeps conflict at the same time (SvGrid::svSweepsConflict), so no
+// image voxel is written by one sweep while another sweep reads or writes
+// it, and the claim mutex orders consecutive sweeps over shared voxels.
+// Image accesses still go through relaxed atomics: the race check declares
+// an iteration's sweeps as one launch, in which conflicting SVs do appear,
+// and the atomics keep that declaration true.
 float loadX(Image2D& x, int row, int col) {
   return std::atomic_ref<float>(x(row, col)).load(std::memory_order_relaxed);
 }
@@ -101,6 +106,73 @@ void applyErrorUpdateSvb(const SystemMatrix& A, Svb& e_svb, std::size_t voxel,
   }
 }
 
+/// In-order SV claiming for one iteration's sweep. A worker takes the first
+/// pending SV (in `selected` order) whose sweep conflicts with no SV in
+/// flight, and waits while none is free. One worker therefore runs exactly
+/// the sequential order. No claim waits forever: every in-flight SV is being
+/// swept by a running worker, and once nothing is in flight the first
+/// pending SV is free.
+class SvClaims {
+ public:
+  SvClaims(const SvGrid& grid, const std::vector<int>& selected)
+      : grid_(grid), selected_(selected), claimed_(selected.size(), false) {}
+
+  /// An SV's in-flight slot; releasing it (also while unwinding a throwing
+  /// sweep) wakes the workers waiting in claim().
+  class Slot {
+   public:
+    Slot(SvClaims& owner, std::size_t pos) : owner_(owner), pos_(pos) {}
+    ~Slot() { owner_.release(owner_.selected_[pos_]); }
+    Slot(const Slot&) = delete;
+    Slot& operator=(const Slot&) = delete;
+    /// Position of the claimed SV in `selected`.
+    std::size_t pos() const { return pos_; }
+
+   private:
+    SvClaims& owner_;
+    std::size_t pos_;
+  };
+
+  /// Blocks until a pending SV is free. Call at most selected.size() times.
+  Slot claim() {
+    std::unique_lock lock(mu_);
+    for (;;) {
+      for (std::size_t p = first_pending_; p < selected_.size(); ++p) {
+        if (claimed_[p] || conflictsInFlight(selected_[p])) continue;
+        claimed_[p] = true;
+        in_flight_.push_back(selected_[p]);
+        while (first_pending_ < claimed_.size() && claimed_[first_pending_])
+          ++first_pending_;
+        return Slot(*this, p);
+      }
+      cv_.wait(lock);
+    }
+  }
+
+ private:
+  bool conflictsInFlight(int sv_id) const {
+    return std::any_of(in_flight_.begin(), in_flight_.end(), [&](int other) {
+      return grid_.svSweepsConflict(sv_id, other);
+    });
+  }
+
+  void release(int sv_id) {
+    {
+      std::lock_guard lock(mu_);
+      in_flight_.erase(std::find(in_flight_.begin(), in_flight_.end(), sv_id));
+    }
+    cv_.notify_all();
+  }
+
+  const SvGrid& grid_;
+  const std::vector<int>& selected_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<bool> claimed_;       // by position in selected_; guarded by mu_
+  std::size_t first_pending_ = 0;   // guarded by mu_
+  std::vector<int> in_flight_;      // SV ids being swept; guarded by mu_
+};
+
 }  // namespace
 
 PsvIcd::PsvIcd(const Problem& problem, PsvIcdOptions options)
@@ -172,8 +244,13 @@ PsvRunStats PsvIcd::run(Image2D& x, Sinogram& e,
     std::vector<std::uint64_t> seeds(selected.size());
     for (auto& s : seeds) s = rng.next();
 
-    pool.parallelFor(0, int(selected.size()), [&](int si) {
-      const int sv_id = selected[std::size_t(si)];
+    // parallelFor only hands out one claim ticket per selected SV; which SV
+    // a ticket sweeps is decided by the claim.
+    SvClaims claims(grid_, selected);
+    pool.parallelFor(0, int(selected.size()), [&](int) {
+      const SvClaims::Slot slot = claims.claim();
+      const std::size_t si = slot.pos();
+      const int sv_id = selected[si];
       const SuperVoxel& sv = grid_.sv(sv_id);
       const SvbPlan& plan = plans[std::size_t(sv_id)];
       WorkCounters wc;
@@ -192,7 +269,7 @@ PsvRunStats PsvIcd::run(Image2D& x, Sinogram& e,
       // weights gather + error gather + original-error copy
       wc.svb_gather_elements += 3 * e_svb.raw().size();
 
-      Rng sv_rng(seeds[std::size_t(si)]);
+      Rng sv_rng(seeds[si]);
       std::vector<int> order(std::size_t(sv.numVoxels()));
       for (std::size_t k = 0; k < order.size(); ++k) order[k] = int(k);
       if (options_.randomize_voxel_order) sv_rng.shuffle(order);
@@ -235,11 +312,13 @@ PsvRunStats PsvIcd::run(Image2D& x, Sinogram& e,
       // Declarations derive from static geometry, so they are built
       // host-side after the sweep rather than inside the workers. Per SV
       // "block": image rect + clamped read ring, all atomic (every image
-      // access above goes through std::atomic_ref — adjacent SVs genuinely
-      // share boundary voxels); the lock-serialized global-sinogram
-      // gather/writeback as atomic over the SV's band; the private SVBs as
-      // plain writes. A write/anything diagnosis therefore means an SVB
-      // stopped being private or an image access bypassed the atomics.
+      // access above goes through std::atomic_ref; conflicting SVs of one
+      // iteration share boundary voxels, and the launch model cannot
+      // express that SvClaims runs them one after the other); the
+      // lock-serialized global-sinogram gather/writeback as atomic over the
+      // SV's band; the private SVBs as plain writes. A write/anything
+      // diagnosis therefore means an SVB stopped being private or an image
+      // access bypassed the atomics.
       const int channels = A.numChannels();
       std::vector<gsim::BlockAccessLog> logs(selected.size());
       for (std::size_t si = 0; si < selected.size(); ++si) {

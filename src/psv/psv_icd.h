@@ -2,7 +2,10 @@
 //
 // The state-of-the-art multicore CPU algorithm GPU-ICD is compared against:
 //   * voxels grouped into SuperVoxels, each with private error/weight SVBs,
-//   * SVs distributed across CPU cores (inter-SV parallelism only),
+//   * SVs distributed across CPU cores (inter-SV parallelism only); a core
+//     starts an SV only when no SV in flight shares a voxel or prior ring
+//     with it, claiming in selection order (so one thread runs the
+//     sequential sweep),
 //   * voxels within an SV updated sequentially against the SVB,
 //   * SVB deltas merged into the global error sinogram under a lock,
 //   * per-iteration SV selection: all SVs (iter 1), top 20% by accumulated
@@ -45,11 +48,12 @@ struct PsvIcdOptions {
   obs::Recorder* recorder = nullptr;
   /// Device-semantics race checking: each iteration's concurrent SV sweeps
   /// are declared to a gsim::RaceDetector as one launch (one block per SV).
-  /// Image and global-sinogram accesses are declared atomic — PSV-ICD
-  /// really does tolerate boundary staleness through relaxed atomics and a
-  /// sinogram lock — so the check guards the SVB-privacy claim and will
-  /// flag any future scheme that drops the atomics. Defaults from
-  /// GPUMBIR_RACE_CHECK.
+  /// Image and global-sinogram accesses are declared atomic: conflicting
+  /// SVs of one iteration are serialized host-side by the in-order claim,
+  /// which one launch cannot express, and the image accesses go through
+  /// relaxed atomics while the sinogram merge is under a lock. The check
+  /// therefore guards the SVB-privacy claim and flags any image access
+  /// that bypasses the atomics. Defaults from GPUMBIR_RACE_CHECK.
   gsim::RaceCheckConfig race_check = gsim::RaceCheckConfig::fromEnv();
   /// Lane-group execution path for the SVB row loops (core/simd.h).
   /// kDefault = the GPUMBIR_SIMD environment knob. Scalar and AVX2 are

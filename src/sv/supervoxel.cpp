@@ -48,4 +48,14 @@ bool SvGrid::svsShareVoxels(int a, int b) const {
   return rows_overlap && cols_overlap;
 }
 
+bool SvGrid::svSweepsConflict(int a, int b) const {
+  const int n = image_size_;
+  const auto ring_hits = [n](const SuperVoxel& u, const SuperVoxel& v) {
+    const int r0 = std::max(0, u.row0 - 1), r1 = std::min(n, u.row1 + 1);
+    const int c0 = std::max(0, u.col0 - 1), c1 = std::min(n, u.col1 + 1);
+    return r0 < v.row1 && v.row0 < r1 && c0 < v.col1 && v.col0 < c1;
+  };
+  return ring_hits(sv(a), sv(b)) || ring_hits(sv(b), sv(a));
+}
+
 }  // namespace mbir

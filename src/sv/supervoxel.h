@@ -4,9 +4,12 @@
 // traces overlap heavily; giving each SV a private sinogram buffer (SVB)
 // converts the sinusoidal global access pattern into near-linear local
 // accesses. Adjacent SVs share `boundary_overlap` voxels on each side for
-// faster convergence (§3.2). For GPU-ICD, SVs are split into 4 checkerboard
-// groups such that same-group SVs share no voxels and can be updated
-// concurrently without voxel/error-sinogram correspondence races.
+// faster convergence (§3.2). Only SVs whose sweeps do not conflict (no
+// shared voxels, no write into the other's 1-voxel prior ring) can be
+// updated concurrently without voxel/error-sinogram correspondence races.
+// GPU-ICD gets there by launching 4 checkerboard groups one after another;
+// PSV-ICD claims SVs in selection order and never starts one that conflicts
+// with an SV still in flight (SvGrid::svSweepsConflict).
 #pragma once
 
 #include <array>
@@ -78,6 +81,13 @@ class SvGrid {
 
   /// True if SVs a and b share at least one voxel (overlap touching).
   bool svsShareVoxels(int a, int b) const;
+
+  /// True if the sweeps of SVs a and b must not run concurrently: a's rect
+  /// grown by the 1-voxel prior read ring (clamped to the image) meets b's
+  /// rect, or vice versa. Shared voxels are subsumed (touching rects always
+  /// meet the other's ring). Holds for any boundary_overlap, up to
+  /// sv_side - 1.
+  bool svSweepsConflict(int a, int b) const;
 
  private:
   int image_size_;

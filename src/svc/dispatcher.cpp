@@ -651,7 +651,10 @@ void Dispatcher::noteTerminalLocked(Job& job) {
   }
   // Hand the terminal snapshot to the server (WAL terminal record, cache
   // insert) — invoked later, off the lock, by flushFlightDumps().
-  if (opt_.on_terminal) pending_terminal_.push_back(snapshotLocked(job));
+  if (opt_.on_terminal) {
+    pending_terminal_.push_back(snapshotLocked(job));
+    ++terminal_queued_;
+  }
   // In drain mode device threads only exit once everything is terminal
   // (a migration can put work back in the queue after it looked empty).
   if (draining_ && queued_ == 0 && running_ == 0) cv_work_.notify_all();
@@ -669,15 +672,50 @@ void Dispatcher::requestFlightDumpLocked(const Job& job) {
 void Dispatcher::flushFlightDumps() {
   std::vector<std::pair<std::string, std::string>> pending;
   std::vector<JobStatus> terminal;
+  std::uint64_t batch_first = 0;
   {
     std::lock_guard lock(mu_);
     pending.swap(pending_flight_);
     terminal.swap(pending_terminal_);
+    if (!terminal.empty()) {
+      batch_first = terminal_queued_ - terminal.size();
+      terminal_delivering_.push_back(batch_first);
+    }
   }
   if (!opt_.flight_dir.empty())
     for (const auto& [stem, reason] : pending)
       flight_.writeFile(opt_.flight_dir + "/flight_" + stem + ".json", reason);
+  if (terminal.empty()) return;
+  // Retire the batch even if a callback throws, or flushNotifications()
+  // callers would wait for it forever.
+  struct Retire {
+    Dispatcher& d;
+    std::uint64_t first;
+    ~Retire() {
+      {
+        std::lock_guard lock(d.mu_);
+        auto& v = d.terminal_delivering_;
+        v.erase(std::find(v.begin(), v.end(), first));
+      }
+      d.cv_delivered_.notify_all();
+    }
+  } retire{*this, batch_first};
   for (const JobStatus& s : terminal) opt_.on_terminal(s);
+}
+
+void Dispatcher::flushNotifications() {
+  std::uint64_t target;
+  {
+    std::lock_guard lock(mu_);
+    target = terminal_queued_;
+  }
+  flushFlightDumps();
+  std::unique_lock lock(mu_);
+  cv_delivered_.wait(lock, [&] {
+    return std::none_of(terminal_delivering_.begin(),
+                        terminal_delivering_.end(),
+                        [&](std::uint64_t first) { return first < target; });
+  });
 }
 
 std::vector<int> Dispatcher::survivorsLocked() const {

@@ -395,14 +395,17 @@ class Dispatcher {
   JobStatus waitTerminal(int job_id) const;
 
   /// Deliver queued terminal notifications (on_terminal) and flight dumps
-  /// on the calling thread. A terminal transition queues its notification
-  /// in the same critical section that publishes the state, so
-  /// waitTerminal + flushNotifications guarantees the store side effects
-  /// (cache insert, WAL terminal record) of an observed result have landed
-  /// — the server calls this before answering the `result` verb, which
-  /// makes "finish a job, then submit a duplicate" hit the cache
-  /// deterministically.
-  void flushNotifications() { flushFlightDumps(); }
+  /// on the calling thread, then wait until every notification queued
+  /// before the call has returned from on_terminal — including those
+  /// another thread (a device thread) took off the queue and is still
+  /// delivering. A terminal transition queues its notification in the same
+  /// critical section that publishes the state, so waitTerminal +
+  /// flushNotifications guarantees the store side effects (cache insert,
+  /// WAL terminal record) of an observed result have landed — the server
+  /// calls this before answering the `result` verb, which makes "finish a
+  /// job, then submit a duplicate" hit the cache deterministically. Must
+  /// not be called from inside on_terminal.
+  void flushNotifications();
 
   /// Copy of a finished job's image (nullopt when the job never ran).
   std::optional<Image2D> image(int job_id) const;
@@ -495,6 +498,12 @@ class Dispatcher {
   std::vector<std::pair<std::string, std::string>> pending_flight_;
   /// Terminal snapshots waiting for the on_terminal callback (off-lock).
   std::vector<JobStatus> pending_terminal_;
+  /// Notifications ever queued; notification k has sequence number k.
+  std::uint64_t terminal_queued_ = 0;
+  /// First sequence number of each batch taken off pending_terminal_ whose
+  /// on_terminal calls are still running (off-lock, on any thread).
+  std::vector<std::uint64_t> terminal_delivering_;
+  std::condition_variable cv_delivered_;  ///< a batch was delivered
   std::uint64_t flight_dumps_ = 0;
   /// Weighted fair queuing across tenants (guarded by mu_).
   store::FairQueue fq_;

@@ -68,6 +68,25 @@ TEST(SvGrid, NoOverlapNoSharing) {
   EXPECT_FALSE(grid.svsShareVoxels(0, 1));
 }
 
+TEST(SvGrid, SweepConflictCoversThePriorRing) {
+  // Without overlap, adjacent SVs share no voxel but still read each
+  // other's edge through the 1-voxel prior ring; one tile apart they are
+  // independent.
+  SvGrid flush(32, {.sv_side = 8, .boundary_overlap = 0});
+  EXPECT_TRUE(flush.svSweepsConflict(0, 1));
+  EXPECT_TRUE(flush.svSweepsConflict(0, flush.gridCols() + 1));  // diagonal
+  EXPECT_FALSE(flush.svSweepsConflict(0, 2));
+  // The largest overlap reaches past the neighbouring tile.
+  SvGrid wide(32, {.sv_side = 8, .boundary_overlap = 7});
+  EXPECT_TRUE(wide.svSweepsConflict(0, 2));
+  EXPECT_FALSE(wide.svSweepsConflict(0, 3));
+  for (int a = 0; a < wide.count(); ++a)
+    for (int b = 0; b < wide.count(); ++b) {
+      EXPECT_EQ(wide.svSweepsConflict(a, b), wide.svSweepsConflict(b, a));
+      if (wide.svsShareVoxels(a, b)) EXPECT_TRUE(wide.svSweepsConflict(a, b));
+    }
+}
+
 TEST(SvGrid, VoxelAtRoundTrips) {
   SvGrid grid(32, {.sv_side = 8, .boundary_overlap = 1});
   const SuperVoxel& sv = grid.sv(3);

@@ -22,6 +22,7 @@
 #include "core/error.h"
 #include "core/hash.h"
 #include "core/rng.h"
+#include "core/thread_pool.h"
 #include "obs/obs.h"
 #include "sched/scheduler.h"
 #include "svc/client.h"
@@ -755,6 +756,10 @@ TEST(SvcServer, MalformedFrameFloodDoesNotLeakFdsOrThreads) {
   Client good = service.connect();
   ASSERT_TRUE(good.ping());
 
+  // The process-wide host pool starts lazily on the first job and its
+  // hardware_concurrency() workers live for the whole process; they are
+  // not connection handlers, so they belong in the baseline.
+  globalThreadPool();
   const std::size_t fd_baseline = procCount("/proc/self/fd");
   const std::size_t thread_baseline = procCount("/proc/self/task");
 
