@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -139,6 +140,19 @@ bool decodeEntry(const std::string& data, ResultCache::Meta& meta,
   // Belt and braces: the embedded image_hash must match the pixel bits too
   // (it's the value svc reports compare against).
   return fnv1a64(image.flat()) == meta.image_hash;
+}
+
+/// Temp-file suffixes, unique across threads and cache instances of this
+/// process; the pid separates processes sharing a directory.
+std::atomic<std::uint64_t> g_tmp_seq{0};
+
+/// Make a rename inside `dir` durable.
+bool fsyncDir(const std::string& dir) {
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  ::close(fd);
+  return ok;
 }
 
 void makeDirs(const std::string& dir) {
@@ -290,11 +304,14 @@ void ResultCache::insert(const Meta& meta, const Image2D& image) {
                 fnv1a64(meta.config_key.data(), meta.config_key.size())};
   const std::string bytes = encodeEntry(meta, image);
   const std::string path = filePath(key);
-  const std::string tmp = path + ".tmp";
+  // Each insert writes through its own temp name, so concurrent inserts of
+  // one key never share (and rename away) each other's file.
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(g_tmp_seq.fetch_add(1));
   {
-    // Atomic publish: whole-file write + fsync, then rename into place. A
-    // crash leaves either the previous entry or the new one, never a torn
-    // file (startup drops torn temps by suffix mismatch).
+    // Atomic publish: whole-file write + fsync, rename into place, fsync
+    // the directory. A crash leaves either the previous entry or the new
+    // one, never a torn file (startup skips temps by suffix mismatch).
     const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0)
       throw Error("cache open(" + tmp + "): " + std::strerror(errno));
@@ -311,10 +328,11 @@ void ResultCache::insert(const Meta& meta, const Image2D& image) {
     }
     ok = ok && ::fdatasync(fd) == 0;
     ::close(fd);
-    ok = ok && ::rename(tmp.c_str(), path.c_str()) == 0;
+    ok = ok && ::rename(tmp.c_str(), path.c_str()) == 0 && fsyncDir(dir_);
     if (!ok) {
+      const int err = errno;  // before unlink() can overwrite it
       ::unlink(tmp.c_str());
-      throw Error("cache write(" + path + "): " + std::strerror(errno));
+      throw Error("cache write(" + path + "): " + std::strerror(err));
     }
   }
   auto entry = std::make_shared<Entry>();

@@ -15,10 +15,12 @@
 // Entries live in memory (images are small) and on disk, one file per
 // entry:
 //   [u32 BE header length][header JSON][raw float pixels][u64 BE pixel FNV]
-// Files are written to a temp name and rename()d into place, so a crash
-// mid-insert leaves either the whole entry or nothing; startup scans the
-// directory, drops anything whose checksum or embedded key mismatches, and
-// rebuilds the index — the cache is exactly as durable as the files.
+// Each insert writes its own temp file, fsyncs it, rename()s it into place
+// and fsyncs the directory, so a crash mid-insert leaves either the whole
+// entry or nothing, and concurrent inserts of one key cannot collide.
+// Startup scans the directory, drops anything whose checksum or embedded
+// key mismatches, and rebuilds the index — the cache is exactly as durable
+// as the files.
 //
 // Capacity is an entry count; inserting past it evicts least-recently-used
 // entries (memory and file together), keeping the on-disk layout bounded.
@@ -88,7 +90,9 @@ class ResultCache {
                                         int image_size);
 
   /// Insert (or idempotently overwrite) an entry; persists to disk first,
-  /// then updates the index and evicts past capacity.
+  /// then updates the index and evicts past capacity. Thread-safe, also for
+  /// concurrent inserts of one key. Throws mbir::Error when the entry
+  /// cannot be made durable.
   void insert(const Meta& meta, const Image2D& image);
 
   struct Counters {

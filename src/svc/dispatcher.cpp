@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 
 #include "core/error.h"
@@ -133,6 +134,7 @@ Dispatcher::Dispatcher(DispatcherOptions options)
   devices_.reserve(std::size_t(opt_.num_devices));
   for (int d = 0; d < opt_.num_devices; ++d)
     devices_.emplace_back([this, d] { deviceLoop(d); });
+  completer_ = std::thread([this] { completionLoop(); });
   watchdog_ = std::thread([this] { watchdogLoop(); });
 }
 
@@ -155,6 +157,7 @@ Dispatcher::~Dispatcher() {
     joined_ = true;
   }
   stopWatchdog();
+  stopCompletions();
 }
 
 void Dispatcher::stopWatchdog() {
@@ -165,6 +168,16 @@ void Dispatcher::stopWatchdog() {
   }
   cv_watchdog_.notify_all();
   watchdog_.join();
+}
+
+void Dispatcher::stopCompletions() {
+  if (!completer_.joinable()) return;
+  {
+    std::lock_guard lock(mu_);
+    completions_exit_ = true;
+  }
+  cv_completions_.notify_all();
+  completer_.join();
 }
 
 void Dispatcher::setFaultPlan(const chaos::FaultPlan& plan, double watchdog_ms) {
@@ -188,79 +201,23 @@ double Dispatcher::watchdogMs() const {
   return watchdog_ms_;
 }
 
-SubmitOutcome Dispatcher::submit(const JobSpec& spec) {
-  MBIR_CHECK_MSG(spec.problem && spec.golden, "job needs a problem and golden");
-  if (spec.shards < 1) {
-    SubmitOutcome out;
-    out.reason = "shards must be >= 1";
-    std::lock_guard lock(mu_);
-    ++rejected_;
-    if (inst_.rejected) inst_.rejected->add();
-    return out;
-  }
-  if (spec.shards > 1) {
-    SubmitOutcome out;
-    if (spec.deterministic) {
-      out.reason = "sharded jobs cannot use the deterministic lane "
-                   "(round-robin single-device by contract)";
-    } else {
-      // Build-or-reject the slab plan at the door so a bad geometry fails
-      // the submit, never the job: makeShardPlan validates slab heights
-      // and the halo fit.
-      try {
-        shard::makeShardPlan(spec.problem->geometry().image_size, spec.shards,
-                             spec.shard_halo, spec.config.gpu.seed);
-      } catch (const std::exception& e) {
-        out.reason = e.what();
-      }
-    }
-    if (!out.reason.empty()) {
-      std::lock_guard lock(mu_);
-      ++rejected_;
-      if (inst_.rejected) inst_.rejected->add();
-      return out;
-    }
-  }
-  obs::Recorder* rec = opt_.recorder;
-  const bool tracing = rec && rec->traceOn();
-  const double submit_t0_us = tracing ? rec->trace().nowHostUs() : 0.0;
+SubmitOutcome Dispatcher::rejectLocked(std::string reason) {
+  ++rejected_;
+  if (inst_.rejected) inst_.rejected->add();
   SubmitOutcome out;
-  std::lock_guard lock(mu_);
-  if (!accepting_) {
-    out.reason = "service is draining";
-    ++rejected_;
-    if (inst_.rejected) inst_.rejected->add();
-    return out;
-  }
-  // A WAL-recovery resubmit (recoveries > 0) bypasses the capacity check:
-  // the job was admitted and acknowledged durable by a previous server
-  // incarnation, so rejecting it now would break exactly-once completion.
-  if (spec.recoveries == 0 && queued_ >= opt_.queue_capacity) {
-    out.reason = "admission queue full (" +
-                 std::to_string(opt_.queue_capacity) + " queued)";
-    ++rejected_;
-    if (inst_.rejected) inst_.rejected->add();
-    return out;
-  }
-  if (devices_failed_ >= std::uint64_t(opt_.num_devices)) {
-    out.reason = "no surviving devices (all " +
-                 std::to_string(opt_.num_devices) + " failed)";
-    ++rejected_;
-    if (inst_.rejected) inst_.rejected->add();
-    return out;
-  }
+  out.reason = std::move(reason);
+  return out;
+}
 
+Dispatcher::Job& Dispatcher::admitLocked(const JobSpec& spec,
+                                         double submit_t0_us,
+                                         const CachedResult* cached) {
   const int id = int(jobs_.size());
   Job& job = jobs_.emplace_back();
   job.id = id;
   job.spec = spec;
   job.admit_tp = std::chrono::steady_clock::now();
-  if (spec.deadline_ms >= 0.0) {
-    job.has_deadline = true;
-    job.deadline_tp =
-        job.admit_tp + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                           std::chrono::duration<double, std::milli>(spec.deadline_ms));
-  }
+  job.cache_hit = cached != nullptr;
   job.result.job_id = id;
   job.result.name =
       spec.name.empty() ? "job" + std::to_string(id) : spec.name;
@@ -272,6 +229,78 @@ SubmitOutcome Dispatcher::submit(const JobSpec& spec) {
   job.span.job_name = job.result.name;
   job.span.submit_host_us = submit_t0_us;
   job.span.flight = &flight_;
+  ++accepted_;
+  if (inst_.submitted) inst_.submitted->add();
+  {
+    obs::FlightEvent fev;
+    fev.job_id = id;
+    fev.kind = cached ? "cache_hit" : "admit";
+    fev.detail = tenantLabel(spec.tenant) + ":" + job.result.name;
+    // A hit records the device work it saved; an admit its priority.
+    fev.value = cached ? cached->equits : double(spec.priority);
+    flight_.record(obs::FlightRecorder::kControlLane, std::move(fev));
+  }
+  obs::Recorder* rec = opt_.recorder;
+  if (rec && rec->traceOn()) {
+    obs::TraceEvent ev;
+    ev.name = "svc.submit";
+    ev.cat = "svc";
+    ev.clock = obs::Clock::kHost;
+    ev.ts_us = submit_t0_us;
+    ev.dur_us = rec->trace().nowHostUs() - submit_t0_us;
+    ev.tid = 0;  // control lane
+    obs::tagSpan(ev, job.span);
+    if (cached)
+      ev.num_args.emplace_back("cache_hit", 1.0);
+    else
+      ev.num_args.emplace_back("priority", double(spec.priority));
+    rec->trace().record(std::move(ev));
+  }
+  return job;
+}
+
+SubmitOutcome Dispatcher::submit(const JobSpec& spec) {
+  MBIR_CHECK_MSG(spec.problem && spec.golden, "job needs a problem and golden");
+  std::string invalid;
+  if (spec.shards < 1) {
+    invalid = "shards must be >= 1";
+  } else if (spec.shards > 1 && spec.deterministic) {
+    invalid = "sharded jobs cannot use the deterministic lane "
+              "(round-robin single-device by contract)";
+  } else if (spec.shards > 1) {
+    // Build-or-reject the slab plan at the door so a bad geometry fails
+    // the submit, never the job: makeShardPlan validates slab heights and
+    // the halo fit.
+    try {
+      shard::makeShardPlan(spec.problem->geometry().image_size, spec.shards,
+                           spec.shard_halo, spec.config.gpu.seed);
+    } catch (const std::exception& e) {
+      invalid = e.what();
+    }
+  }
+  obs::Recorder* rec = opt_.recorder;
+  const double submit_t0_us =
+      rec && rec->traceOn() ? rec->trace().nowHostUs() : 0.0;
+  std::lock_guard lock(mu_);
+  if (!invalid.empty()) return rejectLocked(std::move(invalid));
+  if (!accepting_) return rejectLocked("service is draining");
+  // A WAL-recovery resubmit (recoveries > 0) bypasses the capacity check:
+  // the job was admitted and acknowledged durable by a previous server
+  // incarnation, so rejecting it now would break exactly-once completion.
+  if (spec.recoveries == 0 && queued_ >= opt_.queue_capacity)
+    return rejectLocked("admission queue full (" +
+                        std::to_string(opt_.queue_capacity) + " queued)");
+  if (devices_failed_ >= std::uint64_t(opt_.num_devices))
+    return rejectLocked("no surviving devices (all " +
+                        std::to_string(opt_.num_devices) + " failed)");
+
+  Job& job = admitLocked(spec, submit_t0_us, nullptr);
+  if (spec.deadline_ms >= 0.0) {
+    job.has_deadline = true;
+    job.deadline_tp =
+        job.admit_tp + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                           std::chrono::duration<double, std::milli>(spec.deadline_ms));
+  }
   if (spec.deterministic) {
     job.det_seq = det_count_++;
     int lane = job.det_seq % opt_.num_devices;
@@ -282,45 +311,23 @@ SubmitOutcome Dispatcher::submit(const JobSpec& spec) {
       const std::vector<int> survivors = survivorsLocked();
       lane = survivors[std::size_t(job.det_seq) % survivors.size()];
     }
-    det_lane_[std::size_t(lane)].push_back(id);
+    det_lane_[std::size_t(lane)].push_back(job.id);
   } else {
-    prio_pending_.push_back(id);
+    prio_pending_.push_back(job.id);
   }
   ++queued_;
-  ++accepted_;
   if (spec.recoveries > 0) {
     ++jobs_recovered_;
     if (rec && rec->metricsOn())
       rec->metrics().counter("svc.jobs.recovered").add();
   }
   queue_depth_max_ = std::max(queue_depth_max_, queued_);
-  if (inst_.submitted) inst_.submitted->add();
   if (inst_.queue_depth) inst_.queue_depth->set(double(queued_));
   cv_work_.notify_all();
 
-  {
-    obs::FlightEvent fev;
-    fev.job_id = id;
-    fev.kind = "admit";
-    fev.detail = tenantLabel(spec.tenant) + ":" + job.result.name;
-    fev.value = double(spec.priority);
-    flight_.record(obs::FlightRecorder::kControlLane, std::move(fev));
-  }
-  if (tracing) {
-    obs::TraceEvent ev;
-    ev.name = "svc.submit";
-    ev.cat = "svc";
-    ev.clock = obs::Clock::kHost;
-    ev.ts_us = submit_t0_us;
-    ev.dur_us = rec->trace().nowHostUs() - submit_t0_us;
-    ev.tid = 0;  // control lane
-    obs::tagSpan(ev, job.span);
-    ev.num_args.emplace_back("priority", double(spec.priority));
-    rec->trace().record(std::move(ev));
-  }
-
+  SubmitOutcome out;
   out.accepted = true;
-  out.job_id = id;
+  out.job_id = job.id;
   return out;
 }
 
@@ -328,101 +335,51 @@ SubmitOutcome Dispatcher::submitCached(const JobSpec& spec,
                                        const Image2D& image,
                                        const CachedResult& cached) {
   obs::Recorder* rec = opt_.recorder;
-  const bool tracing = rec && rec->traceOn();
-  const double submit_t0_us = tracing ? rec->trace().nowHostUs() : 0.0;
+  const double submit_t0_us =
+      rec && rec->traceOn() ? rec->trace().nowHostUs() : 0.0;
+  std::lock_guard lock(mu_);
+  if (!accepting_) return rejectLocked("service is draining");
+  Job& job = admitLocked(spec, submit_t0_us, &cached);
+  // Born terminal: the cached image IS the result. No queue slot, no
+  // dispatch (dispatch_seq stays -1), no device time — so a hit cannot be
+  // rejected for capacity and never perturbs the WFQ shares.
+  job.result.run.image = image;
+  job.result.run.converged = cached.converged;
+  job.result.run.equits = cached.equits;
+  job.result.run.final_rmse_hu = cached.final_rmse_hu;
+  job.result.run.modeled_seconds = cached.modeled_seconds;
+  job.has_image = true;
+  job.image_hash = cached.image_hash;
+  job.e2e_host_s = 0.0;
+  job.state = JobState::kDone;
+  ++cache_hits_;
+  if (rec && rec->metricsOn())
+    rec->metrics()
+        .counter("svc.cache.hits", {{"tenant", tenantLabel(spec.tenant)}})
+        .add();
+  noteTerminalLocked(job);
   SubmitOutcome out;
-  {
-    std::lock_guard lock(mu_);
-    if (!accepting_) {
-      out.reason = "service is draining";
-      ++rejected_;
-      if (inst_.rejected) inst_.rejected->add();
-      return out;
-    }
-    const int id = int(jobs_.size());
-    Job& job = jobs_.emplace_back();
-    job.id = id;
-    job.spec = spec;
-    job.admit_tp = std::chrono::steady_clock::now();
-    job.result.job_id = id;
-    job.result.name =
-        spec.name.empty() ? "job" + std::to_string(id) : spec.name;
-    job.span.job_id = id;
-    job.span.tenant = spec.tenant;
-    job.span.job_name = job.result.name;
-    job.span.submit_host_us = submit_t0_us;
-    job.span.flight = &flight_;
-    // Born terminal: the cached image IS the result. No queue slot, no
-    // dispatch (dispatch_seq stays -1), no device time — so a hit cannot
-    // be rejected for capacity and never perturbs the WFQ shares.
-    job.cache_hit = true;
-    job.result.run.image = image;
-    job.result.run.converged = cached.converged;
-    job.result.run.equits = cached.equits;
-    job.result.run.final_rmse_hu = cached.final_rmse_hu;
-    job.result.run.modeled_seconds = cached.modeled_seconds;
-    job.has_image = true;
-    job.image_hash = cached.image_hash;
-    job.e2e_host_s = 0.0;
-    job.state = JobState::kDone;
-    ++accepted_;
-    ++cache_hits_;
-    if (inst_.submitted) inst_.submitted->add();
-    {
-      obs::FlightEvent fev;
-      fev.job_id = id;
-      fev.kind = "cache_hit";
-      fev.detail = tenantLabel(spec.tenant) + ":" + job.result.name;
-      fev.value = cached.equits;  // the device work the hit saved
-      flight_.record(obs::FlightRecorder::kControlLane, std::move(fev));
-    }
-    if (rec && rec->metricsOn())
-      rec->metrics()
-          .counter("svc.cache.hits", {{"tenant", tenantLabel(spec.tenant)}})
-          .add();
-    if (tracing) {
-      obs::TraceEvent ev;
-      ev.name = "svc.submit";
-      ev.cat = "svc";
-      ev.clock = obs::Clock::kHost;
-      ev.ts_us = submit_t0_us;
-      ev.dur_us = rec->trace().nowHostUs() - submit_t0_us;
-      ev.tid = 0;  // control lane
-      obs::tagSpan(ev, job.span);
-      ev.num_args.emplace_back("cache_hit", 1.0);
-      rec->trace().record(std::move(ev));
-    }
-    noteTerminalLocked(job);
-    out.accepted = true;
-    out.job_id = id;
-    out.cache_hit = true;
-  }
-  // noteTerminalLocked may have queued an on_terminal notification.
-  flushFlightDumps();
+  out.accepted = true;
+  out.job_id = job.id;
+  out.cache_hit = true;
   return out;
 }
 
 bool Dispatcher::cancel(int job_id) {
-  {
-    std::lock_guard lock(mu_);
-    if (job_id < 0 || job_id >= int(jobs_.size())) return false;
-    Job& job = jobs_[std::size_t(job_id)];
-    if (isTerminal(job.state)) return false;
-    if (job.state == JobState::kQueued && !job.spec.deterministic) {
-      // Drop it from the pending set right now, freeing its admission slot.
-      prio_pending_.erase(
-          std::find(prio_pending_.begin(), prio_pending_.end(), job_id));
-      finalizeQueuedLocked(job, JobState::kCancelled);
-    } else {
-      // Running jobs stop cooperatively; queued deterministic-lane jobs
-      // keep their schedule slot and run with the flag set
-      // (BatchScheduler parity).
-      job.cancel.store(true, std::memory_order_release);
-    }
+  std::lock_guard lock(mu_);
+  if (job_id < 0 || job_id >= int(jobs_.size())) return false;
+  Job& job = jobs_[std::size_t(job_id)];
+  if (isTerminal(job.state)) return false;
+  if (job.state == JobState::kQueued && !job.spec.deterministic) {
+    // Drop it from the pending set right now, freeing its admission slot.
+    prio_pending_.erase(
+        std::find(prio_pending_.begin(), prio_pending_.end(), job_id));
+    finalizeQueuedLocked(job, JobState::kCancelled);
+  } else {
+    // Running jobs stop cooperatively; queued deterministic-lane jobs keep
+    // their schedule slot and run with the flag set (BatchScheduler parity).
+    job.cancel.store(true, std::memory_order_release);
   }
-  // A queued-cancel finalization may have requested a flight dump; write
-  // it here, off the dispatcher lock.
-  flushFlightDumps();
   return true;
 }
 
@@ -590,25 +547,15 @@ void Dispatcher::noteTerminalLocked(Job& job) {
   // failed device and finalized from the queue.
   if (job.dispatch_seq >= 0 && job.device >= 0)
     device_running_[std::size_t(job.device)] = -1;
+  obs::Counter* outcome = nullptr;
   switch (job.state) {
-    case JobState::kDone:
-      if (inst_.done) inst_.done->add();
-      break;
-    case JobState::kCancelled:
-      if (inst_.cancelled) inst_.cancelled->add();
-      requestFlightDumpLocked(job);
-      break;
-    case JobState::kFailed:
-      if (inst_.failed) inst_.failed->add();
-      requestFlightDumpLocked(job);
-      break;
-    case JobState::kDeadlineMissed:
-      if (inst_.deadline_missed) inst_.deadline_missed->add();
-      requestFlightDumpLocked(job);
-      break;
-    default:
-      break;
+    case JobState::kDone: outcome = inst_.done; break;
+    case JobState::kCancelled: outcome = inst_.cancelled; break;
+    case JobState::kFailed: outcome = inst_.failed; break;
+    case JobState::kDeadlineMissed: outcome = inst_.deadline_missed; break;
+    default: break;
   }
+  if (outcome) outcome->add();
   if (inst_.queue_wait) inst_.queue_wait->observe(job.queue_wait_host_s);
   if (inst_.e2e) inst_.e2e->observe(job.e2e_host_s);
   if (job.dispatch_seq >= 0 && inst_.service_time)
@@ -649,73 +596,74 @@ void Dispatcher::noteTerminalLocked(Job& job) {
                          : obs::FlightRecorder::kControlLane;
     flight_.record(lane, std::move(fev));
   }
-  // Hand the terminal snapshot to the server (WAL terminal record, cache
-  // insert) — invoked later, off the lock, by flushFlightDumps().
-  if (opt_.on_terminal) {
-    pending_terminal_.push_back(snapshotLocked(job));
-    ++terminal_queued_;
+  // Every ending but kDone dumps the flight ring. The dump and the job's
+  // on_terminal call (the server's cache insert and WAL terminal record)
+  // share one completion, queued in terminal order.
+  Completion c;
+  if (job.state != JobState::kDone) {
+    const std::string state = jobStateName(job.state);
+    c = flightDumpLocked(state + "_job" + std::to_string(job.id),
+                         state + " job " + std::to_string(job.id));
   }
+  if (job.spec.on_terminal) {
+    c.on_terminal = std::move(job.spec.on_terminal);  // exactly once
+    c.status = snapshotLocked(job);
+  }
+  pushCompletionLocked(std::move(c));
   // In drain mode device threads only exit once everything is terminal
   // (a migration can put work back in the queue after it looked empty).
   if (draining_ && queued_ == 0 && running_ == 0) cv_work_.notify_all();
   cv_done_.notify_all();
 }
 
-void Dispatcher::requestFlightDumpLocked(const Job& job) {
-  const std::string reason = jobStateName(job.state);
-  pending_flight_.emplace_back(reason + "_job" + std::to_string(job.id),
-                               reason + " job " + std::to_string(job.id));
+Dispatcher::Completion Dispatcher::flightDumpLocked(std::string stem,
+                                                    std::string reason) {
   ++flight_dumps_;
   if (inst_.flight_dumps) inst_.flight_dumps->add();
+  Completion c;
+  if (!opt_.flight_dir.empty()) {
+    c.dump_stem = std::move(stem);
+    c.dump_reason = std::move(reason);
+  }
+  return c;
 }
 
-void Dispatcher::flushFlightDumps() {
-  std::vector<std::pair<std::string, std::string>> pending;
-  std::vector<JobStatus> terminal;
-  std::uint64_t batch_first = 0;
-  {
-    std::lock_guard lock(mu_);
-    pending.swap(pending_flight_);
-    terminal.swap(pending_terminal_);
-    if (!terminal.empty()) {
-      batch_first = terminal_queued_ - terminal.size();
-      terminal_delivering_.push_back(batch_first);
+void Dispatcher::pushCompletionLocked(Completion c) {
+  if (c.dump_stem.empty() && !c.on_terminal) return;
+  completions_.push_back(std::move(c));
+  ++completions_queued_;
+  cv_completions_.notify_all();
+}
+
+void Dispatcher::completionLoop() {
+  std::unique_lock lock(mu_);
+  while (true) {
+    cv_completions_.wait(
+        lock, [&] { return !completions_.empty() || completions_exit_; });
+    if (completions_.empty()) return;  // stopped, and everything delivered
+    Completion c = std::move(completions_.front());
+    completions_.pop_front();
+    lock.unlock();
+    try {
+      if (!c.dump_stem.empty())
+        flight_.writeFile(opt_.flight_dir + "/flight_" + c.dump_stem + ".json",
+                          c.dump_reason);
+      if (c.on_terminal) c.on_terminal(c.status);
+    } catch (const std::exception& e) {
+      // The sequence must advance, or flushNotifications() would hang.
+      std::fprintf(stderr, "gpumbir: completion failed: %s\n", e.what());
     }
+    lock.lock();
+    ++completions_delivered_;
+    cv_completions_.notify_all();
   }
-  if (!opt_.flight_dir.empty())
-    for (const auto& [stem, reason] : pending)
-      flight_.writeFile(opt_.flight_dir + "/flight_" + stem + ".json", reason);
-  if (terminal.empty()) return;
-  // Retire the batch even if a callback throws, or flushNotifications()
-  // callers would wait for it forever.
-  struct Retire {
-    Dispatcher& d;
-    std::uint64_t first;
-    ~Retire() {
-      {
-        std::lock_guard lock(d.mu_);
-        auto& v = d.terminal_delivering_;
-        v.erase(std::find(v.begin(), v.end(), first));
-      }
-      d.cv_delivered_.notify_all();
-    }
-  } retire{*this, batch_first};
-  for (const JobStatus& s : terminal) opt_.on_terminal(s);
 }
 
 void Dispatcher::flushNotifications() {
-  std::uint64_t target;
-  {
-    std::lock_guard lock(mu_);
-    target = terminal_queued_;
-  }
-  flushFlightDumps();
   std::unique_lock lock(mu_);
-  cv_delivered_.wait(lock, [&] {
-    return std::none_of(terminal_delivering_.begin(),
-                        terminal_delivering_.end(),
-                        [&](std::uint64_t first) { return first < target; });
-  });
+  const std::uint64_t target = completions_queued_;
+  cv_completions_.wait(lock,
+                       [&] { return completions_delivered_ >= target; });
 }
 
 std::vector<int> Dispatcher::survivorsLocked() const {
@@ -786,11 +734,9 @@ void Dispatcher::declareDeviceFailedLocked(int device,
     fev.value = double(device);
     flight_.record(obs::FlightRecorder::deviceLane(device), std::move(fev));
   }
-  pending_flight_.emplace_back("device_failed_dev" + std::to_string(device),
-                               "device " + std::to_string(device) +
-                                   " failed: " + reason);
-  ++flight_dumps_;
-  if (inst_.flight_dumps) inst_.flight_dumps->add();
+  pushCompletionLocked(flightDumpLocked(
+      "device_failed_dev" + std::to_string(device),
+      "device " + std::to_string(device) + " failed: " + reason));
 
   // Re-lane the dead device's queued deterministic jobs onto the survivors
   // in submission order. Its running job (if any) is migrated by the device
@@ -919,9 +865,6 @@ void Dispatcher::deviceLoop(int device) {
         start_clock = device_clock_[std::size_t(device)];
       }
     }
-    // Deadline-miss finalizations inside pickJobLocked may have requested
-    // dumps; write them before the (long) run, off the lock.
-    flushFlightDumps();
 
     if (fault.kind == chaos::FaultKind::kDeath) {
       // The device dies before the kernel ever starts: no heartbeats, so
@@ -937,7 +880,6 @@ void Dispatcher::deviceLoop(int device) {
         migrateLocked(*job, device);
         requeueLocked(*job);
       }
-      flushFlightDumps();
       break;  // this device is gone (or the dispatcher is tearing down)
     }
 
@@ -1017,10 +959,8 @@ void Dispatcher::deviceLoop(int device) {
         noteTerminalLocked(*job);
       }
     }
-    flushFlightDumps();
     if (device_gone) break;
   }
-  flushFlightDumps();
 }
 
 JobStatus Dispatcher::snapshotLocked(const Job& job) const {
@@ -1224,7 +1164,7 @@ const SvcReport& Dispatcher::drain() {
   for (std::thread& t : devices_) t.join();
   joined_ = true;
   stopWatchdog();
-  flushFlightDumps();  // anything the device threads did not get to
+  stopCompletions();  // after everything that can queue a completion
 
   // Threads are gone; every job is terminal and fully published.
   SvcReport& rep = report_;

@@ -27,10 +27,17 @@
 // shared obs::Recorder with per-device trace pids) as the batch scheduler,
 // so online and offline results cannot drift.
 //
-// drain() stops admission, runs the queue dry, joins the device threads and
-// builds the SvcReport (schema gpumbir.svc_report/1). The destructor hard-
-// stops instead: it cancels everything and joins without running out the
-// queue.
+// Terminal side effects leave through one channel: a FIFO of completions
+// (JobSpec::on_terminal calls and automatic flight-dump files), queued under
+// the dispatcher lock in the order jobs became terminal and delivered by a
+// single completion thread. Device threads never do that I/O, and
+// flushNotifications() waits for everything queued before it.
+//
+// drain() stops admission, runs the queue dry, joins the device threads,
+// then the completion thread once it has delivered everything, and builds
+// the SvcReport (schema gpumbir.svc_report/1). The destructor hard-stops
+// instead: it cancels everything and joins without running out the queue
+// (completions already queued are still delivered).
 //
 // Chaos lane (DESIGN.md §12): with a FaultPlan installed, every dispatch is
 // wrapped in a chaos::JobFaultHook that heartbeats its device and may fire
@@ -81,6 +88,8 @@ enum class JobState {
 const char* jobStateName(JobState s);
 bool isTerminal(JobState s);
 
+struct JobStatus;
+
 struct JobSpec {
   const OwnedProblem* problem = nullptr;  ///< borrowed; must outlive drain
   const Image2D* golden = nullptr;        ///< borrowed; must outlive drain
@@ -116,6 +125,15 @@ struct JobSpec {
   /// starting point (RunConfig::initial_image); surfaced in status/report
   /// so equits-saved is measurable.
   bool warm_start = false;
+  /// Called exactly once, with the terminal snapshot, after the job reaches
+  /// a terminal state. Calls run on the dispatcher's completion thread, one
+  /// at a time, in the order jobs became terminal — never on a device
+  /// thread and never under the dispatcher lock, so a callback may do
+  /// blocking I/O and call back into status()/image(). The server binds the
+  /// job's cache key and WAL id here to insert the result and append the
+  /// terminal record. Must not call flushNotifications() or drain(); an
+  /// exception is logged and does not hold up later completions.
+  std::function<void(const JobStatus&)> on_terminal;
 };
 
 struct SubmitOutcome {
@@ -199,12 +217,6 @@ struct DispatcherOptions {
   /// to plain priority scheduling.
   std::map<std::string, double> tenant_weights;
   double default_tenant_weight = 1.0;
-  /// Called once per job (off the dispatcher lock) when it reaches a
-  /// terminal state, with the terminal snapshot. The server uses it to
-  /// append WAL terminal records and populate the result cache. May call
-  /// back into the dispatcher (status()/image()); must not block for long
-  /// — it runs on device threads between jobs.
-  std::function<void(const JobStatus&)> on_terminal;
 };
 
 struct DistSummary {
@@ -394,17 +406,15 @@ class Dispatcher {
   /// Block until the job reaches a terminal state; returns the snapshot.
   JobStatus waitTerminal(int job_id) const;
 
-  /// Deliver queued terminal notifications (on_terminal) and flight dumps
-  /// on the calling thread, then wait until every notification queued
-  /// before the call has returned from on_terminal — including those
-  /// another thread (a device thread) took off the queue and is still
-  /// delivering. A terminal transition queues its notification in the same
-  /// critical section that publishes the state, so waitTerminal +
-  /// flushNotifications guarantees the store side effects (cache insert,
-  /// WAL terminal record) of an observed result have landed — the server
-  /// calls this before answering the `result` verb, which makes "finish a
-  /// job, then submit a duplicate" hit the cache deterministically. Must
-  /// not be called from inside on_terminal.
+  /// Wait until every completion queued before the call — each job's
+  /// JobSpec::on_terminal and each automatic flight-dump file — has been
+  /// delivered by the completion thread. A terminal transition queues its
+  /// completion in the same critical section that publishes the state, so
+  /// waitTerminal + flushNotifications guarantees the store side effects
+  /// (cache insert, WAL terminal record) of an observed result have landed;
+  /// the server calls this before answering the `result` verb, which makes
+  /// "finish a job, then submit a duplicate" hit the cache
+  /// deterministically. Must not be called from inside on_terminal.
   void flushNotifications();
 
   /// Copy of a finished job's image (nullopt when the job never ran).
@@ -456,14 +466,29 @@ class Dispatcher {
   Job* pickJobLocked(int device);
   void finalizeQueuedLocked(Job& job, JobState state);
   void noteTerminalLocked(Job& job);
-  /// Queue an automatic flight dump for a job that ended badly. File I/O
-  /// happens later in flushFlightDumps(), off the dispatcher lock.
-  void requestFlightDumpLocked(const Job& job);
-  /// Flush deferred off-lock side effects: automatic flight-dump file I/O
-  /// and on_terminal notifications (WAL/cache writes in the server). Called
-  /// wherever terminal transitions may have queued work, after mu_ is
-  /// released.
-  void flushFlightDumps();
+  /// One terminal side effect, delivered off the lock by the completion
+  /// thread: an automatic flight-dump file and/or a job's on_terminal call.
+  struct Completion {
+    std::string dump_stem;  ///< writes flight_<stem>.json; "" = no file
+    std::string dump_reason;
+    std::function<void(const JobStatus&)> on_terminal;  ///< empty = none
+    JobStatus status;
+  };
+  /// Count an automatic flight dump (deadline miss, failure, cancel, device
+  /// failure) and return the completion that writes its file.
+  Completion flightDumpLocked(std::string stem, std::string reason);
+  /// Append to the completion FIFO (dropped when it has nothing to do).
+  void pushCompletionLocked(Completion c);
+  /// The single consumer of the FIFO; exits once stopped and empty.
+  void completionLoop();
+  void stopCompletions();  ///< idempotent; joins after the device threads
+  /// Count a refused submit; returns its outcome.
+  SubmitOutcome rejectLocked(std::string reason);
+  /// Create an accepted job: identity, span context, the admission flight
+  /// event and the `svc.submit` trace span. `cached` marks a job served
+  /// from the result cache (submitCached).
+  Job& admitLocked(const JobSpec& spec, double submit_t0_us,
+                   const CachedResult* cached);
   JobStatus snapshotLocked(const Job& job) const;
   int tracePid(int device) const { return opt_.base_trace_pid + device; }
   // Chaos lane:
@@ -494,16 +519,13 @@ class Dispatcher {
   std::vector<int> prio_pending_;          ///< queued priority-lane job ids
   std::vector<double> device_clock_;       ///< cumulative modeled clock
   std::vector<int> device_running_;        ///< running job id per device; -1 idle
-  /// Automatic flight dumps waiting for file I/O: (file stem, reason).
-  std::vector<std::pair<std::string, std::string>> pending_flight_;
-  /// Terminal snapshots waiting for the on_terminal callback (off-lock).
-  std::vector<JobStatus> pending_terminal_;
-  /// Notifications ever queued; notification k has sequence number k.
-  std::uint64_t terminal_queued_ = 0;
-  /// First sequence number of each batch taken off pending_terminal_ whose
-  /// on_terminal calls are still running (off-lock, on any thread).
-  std::vector<std::uint64_t> terminal_delivering_;
-  std::condition_variable cv_delivered_;  ///< a batch was delivered
+  /// Completions in the order they were queued; completion k (counting
+  /// from 0) is delivered before completion k + 1.
+  std::deque<Completion> completions_;
+  std::uint64_t completions_queued_ = 0;
+  std::uint64_t completions_delivered_ = 0;
+  bool completions_exit_ = false;
+  std::condition_variable cv_completions_;  ///< queued, delivered or exit
   std::uint64_t flight_dumps_ = 0;
   /// Weighted fair queuing across tenants (guarded by mu_).
   store::FairQueue fq_;
@@ -538,6 +560,7 @@ class Dispatcher {
   std::thread watchdog_;
 
   std::vector<std::thread> devices_;
+  std::thread completer_;
   bool joined_ = false;  ///< device threads joined (guarded by drain_mu_)
 
   std::mutex drain_mu_;  ///< serializes drain() / destructor teardown

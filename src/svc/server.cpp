@@ -50,7 +50,7 @@ void writeJobStatus(obs::JsonWriter& w, const JobStatus& s) {
 Server::Server(ServerOptions options, JobSource& source)
     : opt_(std::move(options)),
       source_(source),
-      dispatcher_(makeDispatchOptions()) {
+      dispatcher_(opt_.dispatch) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   MBIR_CHECK_MSG(listen_fd_ >= 0, "socket(): " << std::strerror(errno));
   const int one = 1;
@@ -83,13 +83,6 @@ Server::Server(ServerOptions options, JobSource& source)
   acceptor_ = std::thread([this] { acceptLoop(); });
 }
 
-DispatcherOptions Server::makeDispatchOptions() {
-  DispatcherOptions d = opt_.dispatch;
-  if (opt_.wal || opt_.cache)
-    d.on_terminal = [this](const JobStatus& s) { onJobTerminal(s); };
-  return d;
-}
-
 std::uint64_t Server::caseInputHash(int case_index, const JobSource::Case& c) {
   {
     std::lock_guard lock(store_mu_);
@@ -105,52 +98,19 @@ std::uint64_t Server::caseInputHash(int case_index, const JobSource::Case& c) {
   return h;
 }
 
-void Server::registerStoreRec(int job_id, StoreRec rec) {
-  std::optional<JobStatus> ready;
-  {
-    std::lock_guard lock(store_mu_);
-    // The job may already be terminal: a fast run's on_terminal callback
-    // fired before this thread got here and parked its snapshot.
-    if (auto it = unclaimed_terminal_.find(job_id);
-        it != unclaimed_terminal_.end()) {
-      ready = std::move(it->second);
-      unclaimed_terminal_.erase(it);
-    } else {
-      job_store_.emplace(job_id, std::move(rec));
-      return;
-    }
-  }
-  finishStoreRec(rec, *ready);
-}
-
-void Server::onJobTerminal(const JobStatus& s) {
-  StoreRec rec;
-  {
-    std::lock_guard lock(store_mu_);
-    auto it = job_store_.find(s.job_id);
-    if (it == job_store_.end()) {
-      // Either the submit thread has not registered its StoreRec yet (park
-      // the snapshot for it) or this is a cache-hit job, which is never
-      // store-tracked: its result was already durable when it was admitted.
-      if (!s.cache_hit) unclaimed_terminal_.emplace(s.job_id, s);
-      return;
-    }
-    rec = std::move(it->second);
-    job_store_.erase(it);
-  }
-  finishStoreRec(rec, s);
-}
-
 void Server::finishStoreRec(const StoreRec& rec, const JobStatus& s) {
-  try {
-    // Cache insert BEFORE the WAL terminal: a crash between the two makes
-    // the restart replay the job as pending and serve it from the cache —
-    // the same bits, delivered exactly once. The opposite order could mark
-    // a job finished whose result no incarnation can produce again without
-    // a re-run. Only cold runs are inserted, so every cache entry is
-    // bit-identical to a cold run of its key.
-    if (opt_.cache && s.state == JobState::kDone && s.has_image &&
-        !s.warm_start && !s.cache_hit) {
+  // Cache insert BEFORE the WAL terminal: a crash between the two makes the
+  // restart replay the job as pending and serve it from the cache — the
+  // same bits, delivered exactly once. The opposite order could mark a job
+  // finished whose result no incarnation can produce again without a
+  // re-run. Only cold runs are inserted, so every cache entry is
+  // bit-identical to a cold run of its key. A failed insert still writes
+  // the terminal record: the job did complete, and leaving it pending would
+  // re-run it after a restart. Neither failure may escape: the job itself
+  // already completed.
+  if (opt_.cache && s.state == JobState::kDone && s.has_image &&
+      !s.warm_start && !s.cache_hit) {
+    try {
       if (const std::optional<Image2D> img = dispatcher_.image(s.job_id)) {
         store::ResultCache::Meta meta;
         meta.input_hash = rec.input_hash;
@@ -162,15 +122,23 @@ void Server::finishStoreRec(const StoreRec& rec, const JobStatus& s) {
         meta.image_hash = s.image_hash;
         opt_.cache->insert(meta, *img);
       }
+    } catch (const std::exception& e) {
+      std::fprintf(stderr,
+                   "gpumbir: store update for job %d failed: cache insert: "
+                   "%s\n",
+                   s.job_id, e.what());
     }
-    if (opt_.wal && rec.wal_id >= 0)
+  }
+  if (opt_.wal && rec.wal_id >= 0) {
+    try {
       opt_.wal->appendTerminal(rec.wal_id, jobStateName(s.state),
                                s.image_hash);
-  } catch (const std::exception& e) {
-    // Store I/O failure must not kill the device thread delivering the
-    // callback; the job itself already completed.
-    std::fprintf(stderr, "gpumbir: store update for job %d failed: %s\n",
-                 s.job_id, e.what());
+    } catch (const std::exception& e) {
+      std::fprintf(stderr,
+                   "gpumbir: store update for job %d failed: WAL terminal: "
+                   "%s\n",
+                   s.job_id, e.what());
+    }
   }
 }
 
@@ -227,18 +195,15 @@ void Server::recoverPendingJobs() {
       // Re-append the admit with the bumped recoveries count first, so a
       // second crash still knows how many times this job has come back.
       opt_.wal->appendAdmit(pj.wal_id, spec.recoveries, pj.params_json);
+      const StoreRec rec{pj.wal_id, input_hash, config_key};
+      spec.on_terminal = [this, rec](const JobStatus& s) {
+        finishStoreRec(rec, s);
+      };
       const SubmitOutcome out = dispatcher_.submit(spec);
-      if (!out.accepted) {
+      if (!out.accepted)
         std::fprintf(stderr,
                      "gpumbir: WAL recovery: wal_id=%lld rejected: %s\n",
                      static_cast<long long>(pj.wal_id), out.reason.c_str());
-        continue;
-      }
-      StoreRec rec;
-      rec.wal_id = pj.wal_id;
-      rec.input_hash = input_hash;
-      rec.config_key = config_key;
-      registerStoreRec(out.job_id, std::move(rec));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "gpumbir: WAL recovery for wal_id=%lld failed: %s\n",
                    static_cast<long long>(pj.wal_id), e.what());
@@ -350,11 +315,10 @@ std::string Server::handleSubmit(const Request& req) {
                          "' needs an armed watchdog (see the chaos verb)");
 
   const bool store_on = opt_.wal || opt_.cache;
-  std::uint64_t input_hash = 0;
-  std::string config_key;
+  StoreRec rec;
   if (store_on) {
-    input_hash = caseInputHash(p.case_index, c);
-    config_key = cacheConfigKey(opt_.base_config, p);
+    rec.input_hash = caseInputHash(p.case_index, c);
+    rec.config_key = cacheConfigKey(opt_.base_config, p);
   }
 
   // Result cache: deterministic-lane jobs never consult it (their contract
@@ -365,7 +329,7 @@ std::string Server::handleSubmit(const Request& req) {
     // Exact (input, config) hit: serve the finished image without
     // dispatching. No WAL records either — the result was durable before
     // the job existed, so there is nothing to recover.
-    if (const auto hit = opt_.cache->find(input_hash, config_key)) {
+    if (const auto hit = opt_.cache->find(rec.input_hash, rec.config_key)) {
       Dispatcher::CachedResult cr;
       cr.converged = hit->meta.converged;
       cr.equits = hit->meta.equits;
@@ -387,28 +351,27 @@ std::string Server::handleSubmit(const Request& req) {
     // job's slab subproblems cannot take a full-size initial image.
     if (p.shards == 1) {
       if (const auto warm =
-              opt_.cache->findWarm(input_hash, c.golden.size())) {
+              opt_.cache->findWarm(rec.input_hash, c.golden.size())) {
         spec.config.initial_image = warm->image;
         spec.warm_start = true;
       }
     }
   }
 
+  if (store_on) {
+    // The WAL id is allocated before submit so the job's terminal callback
+    // carries its whole store record from the start.
+    if (opt_.wal) rec.wal_id = opt_.wal->nextId();
+    spec.on_terminal = [this, rec](const JobStatus& s) {
+      finishStoreRec(rec, s);
+    };
+  }
   const SubmitOutcome out = dispatcher_.submit(spec);
   if (!out.accepted) return errorResponse(out.reason, /*rejected=*/true);
-
-  if (store_on) {
-    StoreRec rec;
-    rec.input_hash = input_hash;
-    rec.config_key = config_key;
-    if (opt_.wal) {
-      // Durability point: the admit record is on disk before the client
-      // sees the ack, so an acknowledged job survives any crash after this.
-      rec.wal_id = opt_.wal->nextId();
-      opt_.wal->appendAdmit(rec.wal_id, 0, encodeSubmit(p));
-    }
-    registerStoreRec(out.job_id, std::move(rec));
-  }
+  // Durability point: the admit record is on disk before the client sees
+  // the ack, so an acknowledged job survives any crash after this. A fast
+  // job's terminal record may already precede it; replay accepts that.
+  if (opt_.wal) opt_.wal->appendAdmit(rec.wal_id, 0, encodeSubmit(p));
 
   obs::JsonWriter w;
   beginResponse(w, true);

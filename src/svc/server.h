@@ -8,6 +8,12 @@
 // blocks other clients' control traffic (a `result` verb that waits for a
 // job is the one deliberate exception: it parks that connection only).
 //
+// Store writes (DESIGN.md §14) ride the dispatcher's completion channel: a
+// submit binds the job's WAL id and cache key into JobSpec::on_terminal, and
+// the dispatcher's single completion thread inserts the result and appends
+// the terminal record, one job at a time in terminal order. The `result`
+// verb waits for that channel (flushNotifications) before it answers.
+//
 // Lifecycle and fd ownership: handler threads never close their own socket
 // — they mark themselves done and the owning server closes fds when it
 // reaps (on later accepts) or stops. That keeps the fd-close/reuse race out
@@ -137,36 +143,26 @@ class Server {
   /// Join + close finished connections (called on the acceptor thread).
   void reapConnectionsLocked();
 
-  /// Per-job store bookkeeping: which WAL record and cache key a live job
-  /// belongs to, registered at submit and consumed at terminal.
+  /// A job's store identity: the WAL record and cache key its terminal
+  /// callback (JobSpec::on_terminal) writes to.
   struct StoreRec {
     std::int64_t wal_id = -1;
     std::uint64_t input_hash = 0;
     std::string config_key;
   };
-  /// opt_.dispatch plus the on_terminal hook into the store (when enabled).
-  DispatcherOptions makeDispatchOptions();
   /// Re-dispatch every admitted-but-unfinished job from the WAL replay
   /// (constructor, before the acceptor starts).
   void recoverPendingJobs();
   /// Memoized hashCaseInputs per case index (sinogram hashing is O(data)).
   std::uint64_t caseInputHash(int case_index, const JobSource::Case& c);
-  void registerStoreRec(int job_id, StoreRec rec);
-  /// Dispatcher terminal callback (runs on device threads, off-lock).
-  void onJobTerminal(const JobStatus& s);
-  /// Cache insert + WAL terminal for one finished job. Never throws: a
-  /// store I/O failure must not kill a device thread.
+  /// Cache insert + WAL terminal for one finished job; runs on the
+  /// dispatcher's completion thread. Never throws: each store failure is
+  /// logged, and a failed insert does not suppress the terminal record.
   void finishStoreRec(const StoreRec& rec, const JobStatus& s);
 
   ServerOptions opt_;
   JobSource& source_;
-  // Store bookkeeping is declared before dispatcher_ so it is still alive
-  // while the dispatcher destructor flushes its last terminal callbacks.
-  std::mutex store_mu_;
-  std::map<int, StoreRec> job_store_;
-  /// Terminal snapshots that raced ahead of registerStoreRec (a fast job
-  /// can finish before handleSubmit records its StoreRec).
-  std::map<int, JobStatus> unclaimed_terminal_;
+  std::mutex store_mu_;  ///< guards case_input_hash_
   std::map<int, std::uint64_t> case_input_hash_;
   Dispatcher dispatcher_;
   std::uint16_t port_ = 0;

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "chaos/fault.h"
@@ -354,6 +355,44 @@ TEST(StoreCache, WarmLookupPicksMostConvergedEntryOfMatchingSize) {
   EXPECT_EQ(1u, cache.counters().warm_hits);
 }
 
+TEST(StoreCache, ConcurrentInsertsOfOneKeyNeverCollide) {
+  // Two device-side writers finishing jobs of the same (case, config) key:
+  // every insert writes through its own temp file, so no rename loses its
+  // source and nothing is left behind.
+  TempDir tmp;
+  const std::string dir = tmp.sub("cache");
+  const Image2D img = patternImage(16, 1e-3f);
+  const ResultCache::Meta meta = metaFor(0xC0FFEEu, "alg=gpu;eq=3", img, 3.0);
+  {
+    ResultCache cache(dir, 8);
+    std::vector<std::thread> writers;
+    std::vector<std::string> errors(2);
+    for (int t = 0; t < 2; ++t)
+      writers.emplace_back([&, t] {
+        try {
+          for (int i = 0; i < 200; ++i) cache.insert(meta, img);
+        } catch (const std::exception& e) {
+          errors[std::size_t(t)] = e.what();
+        }
+      });
+    for (std::thread& w : writers) w.join();
+    EXPECT_EQ("", errors[0]);
+    EXPECT_EQ("", errors[1]);
+    EXPECT_EQ(400u, cache.counters().inserts);
+  }
+  ResultCache cache(dir, 8);
+  EXPECT_EQ(1u, cache.size());
+  EXPECT_EQ(0u, cache.counters().corrupt_dropped);
+  const auto hit = cache.find(meta.input_hash, meta.config_key);
+  ASSERT_NE(nullptr, hit);
+  expectImagesBitIdentical(img, *hit->image);
+  std::vector<std::string> names;
+  for (const auto& e : fs::directory_iterator(dir))
+    names.push_back(e.path().filename().string());
+  ASSERT_EQ(1u, names.size());
+  EXPECT_EQ(std::string::npos, names[0].find(".tmp")) << names[0];
+}
+
 // ---------------------------------------------------------------------------
 // Weighted fair queuing
 // ---------------------------------------------------------------------------
@@ -604,6 +643,32 @@ TEST(SvcStore, WalRecoveryRedispatchesPendingJobsBitIdentically) {
   // a second restart re-runs nothing (exactly-once completion).
   JobLog wal(wal_dir);
   EXPECT_TRUE(wal.pending().empty());
+}
+
+TEST(SvcStore, FailedCacheInsertStillWritesTheWalTerminal) {
+  // The cache directory vanishes under a live cache, so the insert of a
+  // finished job fails by construction. The job did complete: its WAL
+  // terminal record must still land, or a restart would run it again.
+  TempDir tmp;
+  const std::string wal_dir = tmp.sub("wal");
+  const std::string cache_dir = tmp.sub("cache");
+  {
+    JobLog wal(wal_dir);
+    ResultCache cache(cache_dir, 8);
+    fs::remove_all(cache_dir);
+    StoreService service(&wal, &cache);
+    Client client = service.connect();
+    SubmitParams p;
+    p.name = "orphaned-result";
+    const Client::SubmitResult out = client.submit(p);
+    ASSERT_TRUE(out.accepted) << out.error;
+    const Client::JobInfo info = client.result(out.job_id);
+    ASSERT_EQ("done", info.state) << info.error;
+    EXPECT_EQ(0u, cache.counters().inserts);
+    service.server->drainAndReport();
+  }
+  JobLog reopened(wal_dir);
+  EXPECT_TRUE(reopened.pending().empty());
 }
 
 TEST(SvcStore, WalRecoveryServesAnExactDuplicateFromTheCache) {

@@ -2,7 +2,8 @@
 // framing, protocol parsing, admission control, deadline fail-fast,
 // priority ordering, the deterministic lane's bit-identity to the offline
 // batch scheduler, cancellation, graceful drain, and malformed-frame fuzz
-// over a real loopback connection.
+// over a real loopback connection; plus the dispatcher's completion
+// channel (JobSpec::on_terminal) driven directly.
 //
 // Flake resistance: anything that must observe a "busy" service first parks
 // the device(s) on long blocker jobs (RMSE stop disabled, large equit cap)
@@ -11,12 +12,15 @@
 // as synchronization.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <unistd.h>
 
 #include "core/error.h"
@@ -850,6 +854,101 @@ TEST(SvcServer, BrokenFramesAreSurvivable) {
   ASSERT_TRUE(client.ping());
   EXPECT_EQ("done", client.result(client.submit(SubmitParams{}).job_id).state);
   client.drain();
+}
+
+// ---------------------------------------------------------------------------
+// Dispatcher completion channel
+// ---------------------------------------------------------------------------
+
+TEST(SvcDispatcher, CompletionChannelDeliversOncePerJobInTerminalOrder) {
+  using svc::JobState;
+  // Declared before the dispatcher: its callbacks write here until it is
+  // destroyed.
+  std::mutex mu;
+  std::vector<std::pair<int, JobState>> delivered;
+  std::atomic<bool> slow_returned{false};
+
+  svc::DispatcherOptions opt;
+  opt.num_devices = 2;
+  opt.queue_capacity = 16;
+  opt.watchdog_ms = 100.0;
+  svc::Dispatcher dispatcher(opt);
+
+  auto spec = [&](const std::string& name, bool slow = false) {
+    svc::JobSpec s;
+    s.problem = &tinyProblem();
+    s.golden = &tinyGolden();
+    s.config = tinyBaseConfig();
+    s.name = name;
+    s.on_terminal = [&, slow](const svc::JobStatus& st) {
+      if (slow) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      {
+        std::lock_guard lock(mu);
+        delivered.emplace_back(st.job_id, st.state);
+      }
+      if (slow) slow_returned.store(true);
+    };
+    return s;
+  };
+  auto submit = [&](const svc::JobSpec& s) {
+    const svc::SubmitOutcome out = dispatcher.submit(s);
+    EXPECT_TRUE(out.accepted) << out.reason;
+    return out.job_id;
+  };
+  // Each step waits for its job to end before the next can end another, so
+  // the terminal order is known by construction.
+  std::vector<std::pair<int, JobState>> expected;
+
+  // Chaos-migrated: deterministic job 0 dies with device 0 at dispatch and
+  // re-runs on device 1, the only device from here on.
+  svc::JobSpec dying = spec("migrated");
+  dying.deterministic = true;
+  dying.fault = chaos::parseFaultSpec("death");
+  const int migrated = submit(dying);
+  const svc::JobStatus m = dispatcher.waitTerminal(migrated);
+  ASSERT_EQ(JobState::kDone, m.state) << m.error;
+  ASSERT_EQ(1, m.migrations);
+  expected.emplace_back(migrated, JobState::kDone);
+
+  // Done, with a 50 ms callback: waitTerminal + flushNotifications returns
+  // only after that callback has returned.
+  const int slow = submit(spec("slow", /*slow=*/true));
+  EXPECT_EQ(JobState::kDone, dispatcher.waitTerminal(slow).state);
+  dispatcher.flushNotifications();
+  EXPECT_TRUE(slow_returned.load());
+  expected.emplace_back(slow, JobState::kDone);
+
+  // Deadline missed: expired at admission, failed by the first pick.
+  svc::JobSpec late = spec("late");
+  late.deadline_ms = 0.0;
+  const int late_id = submit(late);
+  EXPECT_EQ(JobState::kDeadlineMissed, dispatcher.waitTerminal(late_id).state);
+  expected.emplace_back(late_id, JobState::kDeadlineMissed);
+
+  // Cancelled while queued behind a blocker only a cancel can end; then the
+  // blocker itself, cancelled mid-run.
+  svc::JobSpec blocking = spec("blocker");
+  blocking.config.max_equits = 10000.0;
+  const int blocker = submit(blocking);
+  const int queued = submit(spec("queued"));
+  ASSERT_TRUE(dispatcher.cancel(queued));
+  const svc::JobStatus q = dispatcher.waitTerminal(queued);
+  EXPECT_EQ(JobState::kCancelled, q.state);
+  EXPECT_EQ(-1, q.dispatch_seq);
+  expected.emplace_back(queued, JobState::kCancelled);
+  ASSERT_TRUE(dispatcher.cancel(blocker));
+  EXPECT_EQ(JobState::kCancelled, dispatcher.waitTerminal(blocker).state);
+  expected.emplace_back(blocker, JobState::kCancelled);
+
+  // Not awaited: one device runs them in submission order, and drain()
+  // alone must deliver their callbacks.
+  for (int i = 0; i < 3; ++i)
+    expected.emplace_back(submit(spec("tail" + std::to_string(i))),
+                          JobState::kDone);
+  EXPECT_EQ(expected.size(), dispatcher.drain().jobs_submitted);
+
+  std::lock_guard lock(mu);
+  EXPECT_EQ(expected, delivered);
 }
 
 }  // namespace
