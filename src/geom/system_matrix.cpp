@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "core/error.h"
 #include "core/thread_pool.h"
@@ -50,10 +53,31 @@ constexpr double kWeightCutoffFraction = 1e-6;
 
 }  // namespace
 
+struct SystemMatrix::Derived {
+  std::mutex mu;
+  std::map<std::pair<std::type_index, std::string>, std::weak_ptr<void>> items;
+  std::shared_ptr<void> latest;  // the most recently requested item
+};
+
+std::shared_ptr<void> SystemMatrix::derivedErased(
+    std::type_index type, const std::string& key,
+    const std::function<std::shared_ptr<void>()>& make) const {
+  std::lock_guard lock(derived_->mu);
+  std::weak_ptr<void>& slot = derived_->items[{type, key}];
+  std::shared_ptr<void> item = slot.lock();
+  if (!item) {
+    item = make();
+    slot = item;
+  }
+  derived_->latest = item;
+  return item;
+}
+
 SystemMatrix SystemMatrix::compute(const ParallelBeamGeometry& g) {
   g.validate();
   SystemMatrix m;
   m.geom_ = g;
+  m.derived_ = std::make_shared<Derived>();
 
   const auto setups = makeViewSetups(g);
   const int n = g.image_size;

@@ -14,7 +14,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <span>
+#include <string>
+#include <typeindex>
+#include <typeinfo>
 #include <vector>
 
 #include "geom/geometry.h"
@@ -64,6 +69,28 @@ class SystemMatrix {
   /// Maximum voxel footprint width (channels) over all voxels and views.
   int maxFootprintWidth() const { return max_footprint_width_; }
 
+  /// A structure of type T derived from this matrix (GPU-ICD's chunk
+  /// tables, sv/chunks.h), shared by all its users: a request for (T, `key`)
+  /// returns the live object under that key, or the one `make()` (returning
+  /// std::shared_ptr<T>) builds. An object lives while a caller holds it,
+  /// and the matrix holds the most recently requested one: what the current
+  /// workload keeps asking for stays built between runs for the matrix's
+  /// whole life, while an object that a request for another key superseded
+  /// is freed once its last user is done (a sweep over options keeps one at
+  /// a time). Attached to the matrix itself, never keyed by its address, so
+  /// nothing derived is ever served to another matrix that reuses the
+  /// address. Copies of a matrix share what was derived from it (their
+  /// contents are equal). Thread-safe; objects of different types never
+  /// share a key.
+  template <typename T, typename Make>
+  std::shared_ptr<T> derived(const std::string& key, Make&& make) const {
+    return std::static_pointer_cast<T>(
+        derivedErased(typeid(T), key, [&]() -> std::shared_ptr<void> {
+          std::shared_ptr<T> made = make();
+          return made;
+        }));
+  }
+
   /// Visit every nonzero of a voxel column: fn(view, channel, weight).
   template <typename Fn>
   void forEachEntry(std::size_t voxel, Fn&& fn) const {
@@ -78,12 +105,19 @@ class SystemMatrix {
  private:
   SystemMatrix() = default;
 
+  struct Derived;
+
+  std::shared_ptr<void> derivedErased(
+      std::type_index type, const std::string& key,
+      const std::function<std::shared_ptr<void>()>& make) const;
+
   ParallelBeamGeometry geom_;
   std::vector<Run> runs_;       // voxel-major, then view
   std::vector<float> weights_;  // voxel-major, then view, then channel
   std::vector<float> voxel_max_;
   std::size_t nnz_ = 0;
   int max_footprint_width_ = 0;
+  std::shared_ptr<Derived> derived_;  // set by compute()
 };
 
 }  // namespace mbir

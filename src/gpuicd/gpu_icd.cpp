@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <list>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/rng.h"
@@ -28,8 +26,7 @@ namespace {
 struct BatchSv {
   int sv_id;
   const SvbPlan* plan;
-  const ChunkPlan* chunks = nullptr;        // null for the naive layout
-  std::unique_ptr<ChunkPlan> owned_chunks;  // set only when caching is off
+  const ChunkPlan* chunks = nullptr;  // null for the naive layout
   std::unique_ptr<Svb> e_svb;
   std::unique_ptr<Svb> e_orig;
   std::unique_ptr<Svb> w_svb;
@@ -50,16 +47,12 @@ struct GpuIcd::Impl {
   GpuIcdOptions opt;
   SvGrid grid;
   gsim::GpuSimulator sim;
+  // Transformed layout: per-SV padded plans + A-chunks from the matrix's
+  // shared table, each built once on first use (sv/chunks.h). Naive
+  // layout: the engine's own packed-band plans.
+  std::shared_ptr<ChunkTable> chunk_table;
   std::vector<SvbPlan> plans;
   std::vector<double> magnitude;
-
-  // Bounded LRU cache of per-SV chunk plans (front of lru = most recent).
-  struct CachedChunks {
-    std::unique_ptr<ChunkPlan> plan;
-    std::list<int>::iterator lru_it;
-  };
-  std::list<int> chunk_lru;
-  std::unordered_map<int, CachedChunks> chunk_cache;
 
   // gpuicd.* instruments (null = metrics off), resolved once at
   // construction so the batch path does no registry lookups.
@@ -95,7 +88,6 @@ struct GpuIcd::Impl {
     problem.validate();
     opt.tunables.validate();
     MBIR_CHECK(opt.max_iterations >= 1);
-    MBIR_CHECK(opt.chunk_cache_capacity >= 0);
     sim.setHostPool(opt.host_pool);
     sim.setRecorder(opt.recorder);
     sim.setTracePid(opt.trace_pid);
@@ -117,9 +109,16 @@ struct GpuIcd::Impl {
       m_batches_skipped = &m.counter("gpuicd.batch.skipped_by_threshold");
       m_iterations = &m.counter("gpuicd.iteration.count");
     }
-    plans.reserve(std::size_t(grid.count()));
-    for (int i = 0; i < grid.count(); ++i)
-      plans.emplace_back(p.A.geometry(), grid.sv(i));
+    if (opt.flags.transformed_layout) {
+      chunk_table = ChunkTable::of(
+          p.A, opt.tunables.sv,
+          {.chunk_width = opt.tunables.chunk_width,
+           .quantize = opt.flags.quantize_amatrix});
+    } else {
+      plans.reserve(std::size_t(grid.count()));
+      for (int i = 0; i < grid.count(); ++i)
+        plans.emplace_back(p.A.geometry(), grid.sv(i));
+    }
     // Start every SV "hot" so SVs a threshold-skipped batch left behind
     // still rank top on magnitude-driven iterations.
     magnitude.assign(std::size_t(grid.count()), 1e30);
@@ -181,6 +180,7 @@ struct GpuIcd::Impl {
     cfg.num_blocks = int(batch.size()) * kAuxBlocksPerSv;
     cfg.resources = {.threads_per_block = 256, .regs_per_thread = 24,
                      .smem_per_block_bytes = 0};
+    cfg.blocks_per_group = kAuxBlocksPerSv;
     sim.launch(cfg, [&](gsim::BlockCtx& ctx) {
       // Block group [sv * kAuxBlocksPerSv, ...) serves batch SV `sv`; the
       // group's first block owns the allocation + gather (a per-SV private
@@ -237,6 +237,7 @@ struct GpuIcd::Impl {
     cfg.name = "mbir_update";
     cfg.num_blocks = int(batch.size()) * tb_per_sv;
     cfg.resources = updateKernelResources();
+    cfg.blocks_per_group = tb_per_sv;
 
     // L2 working set: SVBs (e + w) of concurrently resident SVs plus a
     // slice of chunk descriptors.
@@ -577,6 +578,7 @@ struct GpuIcd::Impl {
     cfg.num_blocks = int(batch.size()) * kAuxBlocksPerSv;
     cfg.resources = {.threads_per_block = 256, .regs_per_thread = 24,
                      .smem_per_block_bytes = 0};
+    cfg.blocks_per_group = kAuxBlocksPerSv;
     const int stripes = cfg.num_blocks;
     sim.launch(cfg, [&](gsim::BlockCtx& ctx) {
       // SVBs of different SVs overlap in the global sinogram (the reason
@@ -613,42 +615,6 @@ struct GpuIcd::Impl {
     });
   }
 
-  std::unique_ptr<ChunkPlan> buildChunkPlan(int sv_id) {
-    return std::make_unique<ChunkPlan>(
-        problem.A, plans[std::size_t(sv_id)],
-        ChunkPlanOptions{.chunk_width = opt.tunables.chunk_width,
-                         .quantize = opt.flags.quantize_amatrix});
-  }
-
-  /// Chunk plan for one SV through the bounded LRU cache. A-chunks are
-  /// static per SV (they depend only on A, the band, and the tunables), so
-  /// steady-state iterations hit the cache and skip chunk construction.
-  /// The effective capacity never drops below the live batch size so no
-  /// plan borrowed by the in-flight batch can be evicted.
-  const ChunkPlan* cachedChunkPlan(int sv_id, int batch_size,
-                                   GpuRunStats& stats) {
-    auto it = chunk_cache.find(sv_id);
-    if (it != chunk_cache.end()) {
-      ++stats.chunk_cache_hits;
-      if (m_cache_hits) m_cache_hits->add();
-      chunk_lru.splice(chunk_lru.begin(), chunk_lru, it->second.lru_it);
-      return it->second.plan.get();
-    }
-    ++stats.chunk_cache_misses;
-    if (m_cache_misses) m_cache_misses->add();
-    chunk_lru.push_front(sv_id);
-    auto [pos, inserted] = chunk_cache.emplace(
-        sv_id, CachedChunks{buildChunkPlan(sv_id), chunk_lru.begin()});
-    MBIR_CHECK(inserted);
-    const std::size_t capacity =
-        std::size_t(std::max(opt.chunk_cache_capacity, batch_size));
-    while (chunk_cache.size() > capacity) {
-      chunk_cache.erase(chunk_lru.back());
-      chunk_lru.pop_back();
-    }
-    return pos->second.plan.get();
-  }
-
   void runBatch(const std::vector<int>& ids, int iter, Image2D& x, Sinogram& e,
                 GpuRunStats& stats) {
     std::vector<BatchSv> batch;
@@ -656,18 +622,23 @@ struct GpuIcd::Impl {
     for (int id : ids) {
       BatchSv b;
       b.sv_id = id;
-      SvbPlan& plan = plans[std::size_t(id)];
-      if (opt.flags.transformed_layout) {
+      if (chunk_table) {
         // Host-side preparation; no modeled GPU time is charged (a real
-        // deployment precomputes A-chunks once on the device).
-        if (opt.chunk_cache_capacity > 0) {
-          b.chunks = cachedChunkPlan(id, int(ids.size()), stats);
-        } else {
+        // deployment precomputes A-chunks once on the device). A miss is
+        // a unit this lookup built; a hit one built earlier by any engine.
+        bool built = false;
+        const SvChunks& unit = chunk_table->get(problem.A, id, built);
+        if (built) {
           ++stats.chunk_cache_misses;
           if (m_cache_misses) m_cache_misses->add();
-          b.owned_chunks = buildChunkPlan(id);
-          b.chunks = b.owned_chunks.get();
+        } else {
+          ++stats.chunk_cache_hits;
+          if (m_cache_hits) m_cache_hits->add();
         }
+        b.plan = &unit.plan;
+        b.chunks = &unit.chunks;
+      } else {
+        b.plan = &plans[std::size_t(id)];
       }
       if (sim.raceCheckOn()) {
         // Host-side: kernel blocks run concurrently and must not mutate
@@ -678,7 +649,6 @@ struct GpuIcd::Impl {
         b.rb_eorig = rd.bufferId("svb.eorig/" + tag);
         b.rb_w = rd.bufferId("svb.w/" + tag);
       }
-      b.plan = &plan;
       batch.push_back(std::move(b));
     }
     launchSvbGen(batch, e);

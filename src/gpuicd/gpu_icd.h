@@ -67,12 +67,8 @@ struct GpuIcdOptions {
   /// process-wide pool). Results are bit-identical for any pool size; only
   /// host wall-clock changes.
   ThreadPool* host_pool = nullptr;
-  /// Bounded LRU cache of per-SV chunk plans, in entries (A-chunks are
-  /// static per SV, so steady-state iterations skip chunk construction
-  /// entirely). 0 disables caching: rebuild per batch, minimal host memory.
-  int chunk_cache_capacity = 128;
   /// Observability sink (nullptr = off): per-iteration spans on both
-  /// clocks, `gpuicd.*` metrics (chunk-cache hits/misses, batches), and —
+  /// clocks, `gpuicd.*` metrics (chunk-table hits/misses, batches), and —
   /// forwarded to the simulator — per-launch `gsim.launch.*` telemetry.
   /// Purely observational; results are bit-identical either way.
   obs::Recorder* recorder = nullptr;
@@ -119,7 +115,9 @@ struct GpuRunStats {
   double modeled_seconds = 0.0;
   int kernels_launched = 0;
   int batches_skipped_by_threshold = 0;
-  /// Chunk-plan LRU cache behaviour (host-side; no modeled GPU time).
+  /// Lookups into the matrix's shared chunk table (sv/chunks.h; host-side,
+  /// no modeled GPU time): a hit is served by a unit already built, a miss
+  /// is a unit this run built.
   std::size_t chunk_cache_hits = 0;
   std::size_t chunk_cache_misses = 0;
   WorkCounters work;

@@ -77,6 +77,7 @@ void GpuSimulator::setRecorder(obs::Recorder* rec) {
 LaunchReport GpuSimulator::launch(const LaunchConfig& cfg,
                                   const std::function<void(BlockCtx&)>& kernel) {
   MBIR_CHECK(cfg.num_blocks >= 1);
+  MBIR_CHECK(cfg.blocks_per_group >= 1);
   // Fault seam: fires before any block is scheduled or time is accounted,
   // so a thrown LaunchFault leaves the simulator's totals untouched. The
   // sequence number advances even when the hook throws — "the 4th launch"
@@ -126,7 +127,9 @@ LaunchReport GpuSimulator::launch(const LaunchConfig& cfg,
   } else {
     // Every block gets a private profiler so blocks can run on any host
     // thread; merging the per-block stats in block-index order keeps the
-    // report bit-identical for any pool size.
+    // report bit-identical for any pool size. One pool task per block group
+    // (the parallelFor grain): a group's idle blocks cost no hand-off, and
+    // a one-group launch runs inline on this thread.
     std::vector<KernelProfiler> profs;
     profs.reserve(std::size_t(cfg.num_blocks));
     for (int b = 0; b < cfg.num_blocks; ++b) {
@@ -137,7 +140,7 @@ LaunchReport GpuSimulator::launch(const LaunchConfig& cfg,
     pool.parallelFor(0, cfg.num_blocks, [&](int b) {
       BlockCtx ctx{b, cfg.num_blocks, profs[std::size_t(b)], warp};
       run_block(ctx);
-    });
+    }, cfg.blocks_per_group);
     for (const KernelProfiler& p : profs) report.stats += p.stats();
   }
   report.stats.launches = 1;

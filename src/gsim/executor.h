@@ -1,10 +1,11 @@
 // Functional GPU kernel executor + per-launch profiler.
 //
 // Kernels are written as C++ callables over a BlockCtx; the executor runs
-// every threadblock of a launch concurrently on the host thread pool (like
-// the hardware would), each block reporting to its own KernelProfiler.
-// Per-block stats are merged in block-index order, so the LaunchReport —
-// counters and modeled time — is bit-identical for any host thread count.
+// the threadblocks of a launch concurrently on the host thread pool (like
+// the hardware would), one host task per block group, each block reporting
+// to its own KernelProfiler. Per-block stats are merged in block-index
+// order, so the LaunchReport — counters and modeled time — is bit-identical
+// for any host thread count and any grouping.
 // Kernels must therefore be written like real CUDA blocks: no unsynchronized
 // writes to state shared across blocks (DESIGN.md §gsim host execution
 // model). Alongside the functional work, kernels report their memory
@@ -189,6 +190,12 @@ struct LaunchConfig {
   std::string name;
   int num_blocks = 1;
   KernelResources resources;
+  /// Consecutive blocks that serve one unit of the kernel's work (GPU-ICD:
+  /// one SuperVoxel's block group). A property of the kernel code, not a
+  /// tuning knob: the executor runs each group as one host task, in block
+  /// order, so a launch with a single group runs inline on the calling
+  /// thread. Modeled time still counts every block.
+  int blocks_per_group = 1;
 };
 
 struct LaunchReport {
@@ -269,10 +276,11 @@ class GpuSimulator {
   /// scheduler layers. See gsim/fault.h.
   void setFaultHook(FaultHook* hook) { fault_hook_ = hook; }
 
-  /// Run every block of the kernel functionally (concurrently across host
-  /// threads); model and accumulate time. The report is invariant to the
-  /// host thread count: each block profiles into its own KernelProfiler and
-  /// the per-block stats are merged in block-index order.
+  /// Run every block of the kernel functionally (block groups concurrently
+  /// across host threads); model and accumulate time. The report is
+  /// invariant to the host thread count and to cfg.blocks_per_group: each
+  /// block profiles into its own KernelProfiler and the per-block stats are
+  /// merged in block-index order.
   LaunchReport launch(const LaunchConfig& cfg,
                       const std::function<void(BlockCtx&)>& kernel);
 

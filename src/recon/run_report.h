@@ -3,7 +3,7 @@
 //
 // The report is the tooling-facing counterpart of the human-facing bench
 // tables: convergence curve, work counters, per-engine stats (including the
-// GPU chunk-plan cache behaviour), the metrics-registry snapshot, and a
+// GPU chunk-table lookups), the metrics-registry snapshot, and a
 // summary of the trace (DESIGN.md §observability).
 #pragma once
 

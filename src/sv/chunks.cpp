@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 namespace mbir {
 
@@ -124,18 +125,6 @@ std::span<const ChunkDesc> ChunkPlan::chunksOf(int local_voxel) const {
   return {descs_.data() + b, e - b};
 }
 
-std::span<const float> ChunkPlan::dataFloat(const ChunkDesc& d) const {
-  MBIR_CHECK(!options_.quantize);
-  return {fdata_.data() + d.data_offset,
-          std::size_t(d.nrows) * std::size_t(options_.chunk_width)};
-}
-
-std::span<const std::uint8_t> ChunkPlan::dataQuant(const ChunkDesc& d) const {
-  MBIR_CHECK(options_.quantize);
-  return {qdata_.data() + d.data_offset,
-          std::size_t(d.nrows) * std::size_t(options_.chunk_width)};
-}
-
 float ChunkPlan::aValue(const ChunkDesc& d, int r, int c) const {
   const std::size_t idx =
       d.data_offset + std::size_t(r) * std::size_t(options_.chunk_width) + std::size_t(c);
@@ -155,6 +144,44 @@ double ChunkPlan::alignedFraction() const {
   for (const ChunkDesc& d : descs_)
     if (d.aligned) ++aligned;
   return double(aligned) / double(descs_.size());
+}
+
+SvChunks::SvChunks(const SystemMatrix& A, const SuperVoxel& sv,
+                   ChunkPlanOptions options)
+    : plan(A.geometry(), sv), chunks(A, plan, options) {}
+
+std::shared_ptr<ChunkTable> ChunkTable::of(const SystemMatrix& A,
+                                           const SvGridOptions& grid,
+                                           ChunkPlanOptions options) {
+  const std::string key = "side=" + std::to_string(grid.sv_side) +
+                          "/overlap=" + std::to_string(grid.boundary_overlap) +
+                          "/width=" + std::to_string(options.chunk_width) +
+                          "/quantize=" + std::to_string(int(options.quantize));
+  return A.derived<ChunkTable>(key, [&] {
+    return std::make_shared<ChunkTable>(A.geometry().image_size, grid, options);
+  });
+}
+
+ChunkTable::ChunkTable(int image_size, const SvGridOptions& grid,
+                       ChunkPlanOptions options)
+    : grid_(image_size, grid),
+      options_(options),
+      slots_(std::make_unique<Slot[]>(std::size_t(grid_.count()))) {}
+
+const SvChunks& ChunkTable::get(const SystemMatrix& A, int sv_id,
+                                bool& built) {
+  MBIR_CHECK(sv_id >= 0 && sv_id < grid_.count());
+  Slot& slot = slots_[std::size_t(sv_id)];
+  built = false;
+  if (const SvChunks* unit = slot.ready.load(std::memory_order_acquire))
+    return *unit;
+  std::lock_guard lock(slot.build_mu);
+  if (!slot.unit) {
+    slot.unit = std::make_unique<const SvChunks>(A, grid_.sv(sv_id), options_);
+    slot.ready.store(slot.unit.get(), std::memory_order_release);
+    built = true;
+  }
+  return *slot.unit;
 }
 
 }  // namespace mbir

@@ -16,14 +16,23 @@
 // The same table can be built with uint8-quantized A entries (§4.3.1):
 // q = round(A / voxelMax * 255), dequantized on the fly by q * scale with
 // scale = voxelMax / 255 stored once per voxel.
+//
+// A-chunks depend only on the matrix, the SV and the chunk options, so
+// GPU-ICD takes them from a ChunkTable derived from the matrix: each SV's
+// unit is built once, on first use, and shared by every engine after that.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
 #include "core/aligned.h"
+#include "core/error.h"
 #include "geom/system_matrix.h"
+#include "sv/supervoxel.h"
 #include "sv/svb.h"
 
 namespace mbir {
@@ -59,9 +68,18 @@ class ChunkPlan {
   std::size_t numChunks() const { return descs_.size(); }
 
   /// Chunk A rows (nrows * W elements, row-major). Exactly one of these is
-  /// live depending on quantized().
-  std::span<const float> dataFloat(const ChunkDesc& d) const;
-  std::span<const std::uint8_t> dataQuant(const ChunkDesc& d) const;
+  /// live depending on quantized(). Inline: the update sweep calls one per
+  /// chunk.
+  std::span<const float> dataFloat(const ChunkDesc& d) const {
+    MBIR_CHECK(!options_.quantize);
+    return {fdata_.data() + d.data_offset,
+            std::size_t(d.nrows) * std::size_t(options_.chunk_width)};
+  }
+  std::span<const std::uint8_t> dataQuant(const ChunkDesc& d) const {
+    MBIR_CHECK(options_.quantize);
+    return {qdata_.data() + d.data_offset,
+            std::size_t(d.nrows) * std::size_t(options_.chunk_width)};
+  }
 
   /// Dequantization scale for a voxel (voxelMax / 255); 0 for empty columns.
   float scaleOf(int local_voxel) const { return scale_[std::size_t(local_voxel)]; }
@@ -90,6 +108,55 @@ class ChunkPlan {
   std::vector<float> scale_;
   std::size_t total_elements_ = 0;
   std::size_t true_nnz_ = 0;
+};
+
+/// One SV's transformed-layout unit: its padded band plan, grown by the
+/// chunk build so every chunk window is readable, and the chunk plan built
+/// against it. Immutable once built.
+struct SvChunks {
+  SvChunks(const SystemMatrix& A, const SuperVoxel& sv,
+           ChunkPlanOptions options);
+
+  SvbPlan plan;
+  ChunkPlan chunks;
+};
+
+/// The SvChunks of every SV of one grid, for one matrix and one set of
+/// chunk options. Each unit is built at most once — on its first lookup, by
+/// the first caller; concurrent first callers wait for that build — and is
+/// then read lock-free by every engine on the matrix. The table is derived
+/// from the matrix (SystemMatrix::derived): the matrix keeps the table of
+/// the options most recently asked for as long as it lives, and a table
+/// for other options lives while an engine holds it.
+class ChunkTable {
+ public:
+  /// The matrix's table for this grid and these options (created empty
+  /// when none is live; cheap).
+  static std::shared_ptr<ChunkTable> of(const SystemMatrix& A,
+                                        const SvGridOptions& grid,
+                                        ChunkPlanOptions options);
+
+  ChunkTable(int image_size, const SvGridOptions& grid,
+             ChunkPlanOptions options);
+  // Engines borrow its units for their lifetime.
+  ChunkTable(const ChunkTable&) = delete;
+  ChunkTable& operator=(const ChunkTable&) = delete;
+
+  /// SV `sv_id`'s unit. `A` must be the matrix the table belongs to.
+  /// `built` is set when this call built the unit, cleared when an
+  /// already-built one served it.
+  const SvChunks& get(const SystemMatrix& A, int sv_id, bool& built);
+
+ private:
+  struct Slot {
+    std::atomic<const SvChunks*> ready{nullptr};
+    std::mutex build_mu;
+    std::unique_ptr<const SvChunks> unit;
+  };
+
+  SvGrid grid_;
+  ChunkPlanOptions options_;
+  std::unique_ptr<Slot[]> slots_;
 };
 
 }  // namespace mbir

@@ -67,9 +67,7 @@ std::size_t Svb::indexOf(int view, int channel) const {
   const int c = channel - plan_->lo(view);
   MBIR_CHECK_MSG(c >= 0 && c < plan_->width(view),
                  "channel " << channel << " outside band of view " << view);
-  if (layout_ == SvbLayout::kPacked)
-    return plan_->packedOffset(view) + std::size_t(c);
-  return std::size_t(view) * std::size_t(plan_->paddedWidth()) + std::size_t(c);
+  return rowOffset(view) + std::size_t(c);
 }
 
 float& Svb::at(int view, int channel) { return buf_[indexOf(view, channel)]; }
@@ -77,18 +75,7 @@ float& Svb::at(int view, int channel) { return buf_[indexOf(view, channel)]; }
 float Svb::atOrZero(int view, int channel) const {
   const int c = channel - plan_->lo(view);
   if (c < 0 || c >= plan_->width(view)) return 0.0f;
-  if (layout_ == SvbLayout::kPacked)
-    return buf_[plan_->packedOffset(view) + std::size_t(c)];
-  return buf_[std::size_t(view) * std::size_t(plan_->paddedWidth()) + std::size_t(c)];
-}
-
-float* Svb::rowData(int view) {
-  if (layout_ == SvbLayout::kPacked) return buf_.data() + plan_->packedOffset(view);
-  return buf_.data() + std::size_t(view) * std::size_t(plan_->paddedWidth());
-}
-
-const float* Svb::rowData(int view) const {
-  return const_cast<Svb*>(this)->rowData(view);
+  return buf_[rowOffset(view) + std::size_t(c)];
 }
 
 int Svb::rowWidth(int view) const {

@@ -87,9 +87,10 @@ class Svb {
   float atOrZero(int view, int channel) const;
 
   /// Direct row access for kernels: pointer to column 0 of the view row
-  /// (column c corresponds to global channel lo(view) + c).
-  float* rowData(int view);
-  const float* rowData(int view) const;
+  /// (column c corresponds to global channel lo(view) + c). Inline: the
+  /// update sweep calls these once per chunk row.
+  float* rowData(int view) { return buf_.data() + rowOffset(view); }
+  const float* rowData(int view) const { return buf_.data() + rowOffset(view); }
   /// Row pitch in elements (padded: paddedWidth; packed: that row's width).
   int rowWidth(int view) const;
 
@@ -114,6 +115,10 @@ class Svb {
 
  private:
   std::size_t indexOf(int view, int channel) const;
+  std::size_t rowOffset(int view) const {
+    if (layout_ == SvbLayout::kPacked) return plan_->packedOffset(view);
+    return std::size_t(view) * std::size_t(plan_->paddedWidth());
+  }
 
   const SvbPlan* plan_;
   SvbLayout layout_;

@@ -1,7 +1,9 @@
 // Tests for the §4.1 chunk decomposition and §4.3.1 A-matrix quantization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "sv/chunks.h"
 #include "sv/supervoxel.h"
@@ -193,6 +195,56 @@ TEST_F(ChunkFixture, AlignedFractionHighForWarpWidth) {
   SvbPlan plan(g_, grid_->sv(5));
   const ChunkPlan cp(*A_, plan, {.chunk_width = 32, .quantize = true});
   EXPECT_GT(cp.alignedFraction(), 0.9);
+}
+
+TEST_F(ChunkFixture, TableUnitIsBuiltOnceAndMatchesAStandalonePlan) {
+  const SystemMatrix A = SystemMatrix::compute(g_);  // cold: its own table
+  const ChunkPlanOptions opt{.chunk_width = 16, .quantize = true};
+  const std::shared_ptr<ChunkTable> table =
+      ChunkTable::of(A, grid_->options(), opt);
+  bool built = false;
+  const SvChunks& unit = table->get(A, 5, built);
+  EXPECT_TRUE(built);
+  EXPECT_EQ(&table->get(A, 5, built), &unit);
+  EXPECT_FALSE(built);
+
+  SvbPlan plan(g_, grid_->sv(5));
+  const ChunkPlan cp(A, plan, opt);
+  EXPECT_EQ(unit.plan.paddedWidth(), plan.paddedWidth());
+  ASSERT_EQ(unit.chunks.numChunks(), cp.numChunks());
+  for (int k = 0; k < grid_->sv(5).numVoxels(); ++k) {
+    const auto a = unit.chunks.chunksOf(k);
+    const auto b = cp.chunksOf(k);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].base, b[i].base);
+      const auto qa = unit.chunks.dataQuant(a[i]);
+      const auto qb = cp.dataQuant(b[i]);
+      EXPECT_TRUE(std::equal(qa.begin(), qa.end(), qb.begin(), qb.end()));
+    }
+  }
+}
+
+TEST_F(ChunkFixture, MatrixKeepsItsLatestTableAndFreesSupersededOnes) {
+  const SystemMatrix A = SystemMatrix::compute(g_);
+  const SvGridOptions& sv = grid_->options();
+  const ChunkPlanOptions w16{.chunk_width = 16, .quantize = true};
+  const ChunkPlanOptions w32{.chunk_width = 32, .quantize = true};
+
+  // The latest table outlives its users and is served again.
+  const std::weak_ptr<ChunkTable> first = ChunkTable::of(A, sv, w16);
+  ASSERT_FALSE(first.expired());
+  EXPECT_EQ(ChunkTable::of(A, sv, w16), first.lock());
+
+  // Asking for other options frees an unused superseded table...
+  const std::shared_ptr<ChunkTable> t32 = ChunkTable::of(A, sv, w32);
+  EXPECT_TRUE(first.expired());
+  EXPECT_NE(t32, nullptr);
+
+  // ...but a table still held is shared, superseded or not.
+  const std::shared_ptr<ChunkTable> t16 = ChunkTable::of(A, sv, w16);
+  EXPECT_EQ(ChunkTable::of(A, sv, w32), t32);
+  EXPECT_EQ(ChunkTable::of(A, sv, w16), t16);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "core/error.h"
 #include "core/thread_pool.h"
@@ -12,6 +15,8 @@
 #include "gsim/executor.h"
 #include "gsim/occupancy.h"
 #include "gsim/timing.h"
+#include "obs/obs.h"
+#include "test_support.h"
 
 namespace mbir::gsim {
 namespace {
@@ -274,6 +279,105 @@ TEST(Executor, ResetClearsTotals) {
   sim.resetTotals();
   EXPECT_DOUBLE_EQ(sim.totalModeledSeconds(), 0.0);
   EXPECT_TRUE(sim.perKernel().empty());
+}
+
+/// One race-checked, block-span-traced launch: what it reported and which
+/// host thread ran each block.
+struct GroupedLaunch {
+  LaunchReport report;
+  std::vector<std::string> races;
+  RaceCheckTotals race_totals;
+  std::vector<std::thread::id> ran_on;  ///< per block
+  std::vector<int> span_tid;            ///< per block, from its block span
+};
+
+GroupedLaunch launchGrouped(ThreadPool& pool, int num_blocks, int group) {
+  obs::Recorder rec({.trace = true, .block_spans = true});
+  GpuSimulator sim;
+  sim.setHostPool(&pool);
+  sim.setRecorder(&rec);
+  sim.setRaceCheck({.enabled = true});
+  const int buf = sim.raceDetector().bufferId("buf");
+  GroupedLaunch out;
+  out.ran_on.resize(std::size_t(num_blocks));
+  out.report = sim.launch(
+      {.name = "k", .num_blocks = num_blocks, .resources = {256, 32, 0},
+       .blocks_per_group = group},
+      [&](BlockCtx& ctx) {
+        out.ran_on[std::size_t(ctx.block_idx)] = std::this_thread::get_id();
+        // Block-dependent accounting: floating-point sums would differ
+        // under any merge reordering.
+        ctx.prof.addFlops(1.0 / double(ctx.block_idx + 1));
+        ctx.prof.svbAccess(7 + ctx.block_idx % 5, 4, ctx.block_idx % 2 == 0,
+                           false);
+        if (ctx.block_idx == 5) ctx.prof.setImbalance(1.5);
+        // Own element each, plus a shared one every fourth block writes:
+        // races inside and across groups alike.
+        ctx.prof.raceWrite(buf, ctx.block_idx, ctx.block_idx + 1);
+        if (ctx.block_idx % 4 == 3) ctx.prof.raceWrite(buf, 1000, 1001);
+      });
+  for (const RaceReport& r : sim.raceDetector().races())
+    out.races.push_back(RaceDetector::describe(r));
+  out.race_totals = sim.raceDetector().totals();
+  out.span_tid.assign(std::size_t(num_blocks), -1);
+  for (const obs::TraceEvent& ev : rec.trace().snapshot())
+    if (ev.cat == "gsim.block")
+      out.span_tid[std::size_t(ev.num_args.at(0).second)] = ev.tid;
+  return out;
+}
+
+int hashedTid(std::thread::id id) {  // as the executor tags block spans
+  return int(std::hash<std::thread::id>{}(id) & 0x7fff);
+}
+
+void expectSameLaunch(const GroupedLaunch& a, const GroupedLaunch& b) {
+  test::expectStatsBitIdentical(a.report.stats, b.report.stats);
+  EXPECT_EQ(a.report.time.total, b.report.time.total);
+  EXPECT_EQ(a.races, b.races);
+  EXPECT_EQ(a.race_totals.launches_checked, b.race_totals.launches_checked);
+  EXPECT_EQ(a.race_totals.blocks_checked, b.race_totals.blocks_checked);
+  EXPECT_EQ(a.race_totals.ranges_checked, b.race_totals.ranges_checked);
+  EXPECT_EQ(a.race_totals.races_found, b.race_totals.races_found);
+}
+
+TEST(Executor, BlockGroupRunsAsOneHostTask) {
+  constexpr int kGroup = 8;
+  for (unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadPool pool(threads);
+
+    // Several groups: each runs on one host thread, and the report — stats,
+    // modeled time, race diagnoses — equals the ungrouped launch's.
+    const GroupedLaunch grouped = launchGrouped(pool, 3 * kGroup, kGroup);
+    const GroupedLaunch flat = launchGrouped(pool, 3 * kGroup, 1);
+    ASSERT_GT(grouped.race_totals.races_found, 0u);
+    expectSameLaunch(grouped, flat);
+    for (int b = 0; b < 3 * kGroup; ++b) {
+      const int first = b / kGroup * kGroup;
+      EXPECT_EQ(grouped.ran_on[std::size_t(b)],
+                grouped.ran_on[std::size_t(first)]) << "block " << b;
+      EXPECT_EQ(grouped.span_tid[std::size_t(b)],
+                grouped.span_tid[std::size_t(first)]) << "block " << b;
+    }
+
+    // A single group runs inline on the launching thread.
+    const GroupedLaunch single = launchGrouped(pool, kGroup, kGroup);
+    expectSameLaunch(single, launchGrouped(pool, kGroup, 1));
+    const std::thread::id caller = std::this_thread::get_id();
+    for (int b = 0; b < kGroup; ++b) {
+      EXPECT_EQ(single.ran_on[std::size_t(b)], caller) << "block " << b;
+      EXPECT_EQ(single.span_tid[std::size_t(b)], hashedTid(caller))
+          << "block " << b;
+    }
+  }
+}
+
+TEST(Executor, RejectsEmptyBlockGroup) {
+  GpuSimulator sim;
+  EXPECT_THROW(sim.launch({.name = "k", .num_blocks = 4,
+                           .resources = {256, 32, 0}, .blocks_per_group = 0},
+                          [](BlockCtx&) {}),
+               Error);
 }
 
 // ---------- device scaling ----------

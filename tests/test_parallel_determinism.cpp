@@ -1,10 +1,13 @@
 // Determinism of host-parallel simulated kernel execution: the gsim
 // executor and GPU-ICD must produce bit-identical functional results,
 // KernelStats, and modeled seconds for any host thread count, and the
-// chunk-plan LRU cache must be a pure wall-clock optimization.
+// matrix's shared chunk table must be a pure wall-clock optimization.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <latch>
+#include <thread>
+#include <vector>
 
 #include "core/rng.h"
 #include "core/thread_pool.h"
@@ -90,13 +93,12 @@ TEST(SvbStriped, StripeUnionEqualsFullApply) {
 
 // ---------- GPU-ICD ----------
 
-GpuRunStats runGpuWith(ThreadPool* pool, int chunk_cache_capacity, Image2D& x,
-                       int iterations = 3, obs::Recorder* recorder = nullptr) {
-  const OwnedProblem& problem = test::tinyProblem();
+GpuRunStats runGpuWith(ThreadPool* pool, Image2D& x, int iterations = 3,
+                       obs::Recorder* recorder = nullptr,
+                       const OwnedProblem& problem = test::tinyProblem()) {
   GpuIcdOptions opt = test::tinyGpuOptions();
   opt.max_iterations = iterations;
   opt.host_pool = pool;
-  opt.chunk_cache_capacity = chunk_cache_capacity;
   opt.recorder = recorder;
   x = problem.fbpInitialImage();
   Sinogram e = problem.initialError(x);
@@ -104,14 +106,22 @@ GpuRunStats runGpuWith(ThreadPool* pool, int chunk_cache_capacity, Image2D& x,
   return icd.run(x, e);
 }
 
+/// The tiny problem again, on a matrix of its own: its chunk table starts
+/// cold whatever else ran in this process.
+OwnedProblem freshTinyProblem() {
+  SuiteConfig cfg;
+  cfg.geometry = test::tinyGeometry();
+  return Suite(cfg).makeCase(0);
+}
+
 using test::expectGpuRunsBitIdentical;
 
 TEST(GpuIcdDeterminism, BitIdenticalAcrossThreadCounts) {
   ThreadPool p1(1), p2(2), p4(4);
   Image2D x1, x2, x4;
-  const auto s1 = runGpuWith(&p1, 128, x1);
-  const auto s2 = runGpuWith(&p2, 128, x2);
-  const auto s4 = runGpuWith(&p4, 128, x4);
+  const auto s1 = runGpuWith(&p1, x1);
+  const auto s2 = runGpuWith(&p2, x2);
+  const auto s4 = runGpuWith(&p4, x4);
   ASSERT_GT(s1.work.voxel_updates, 0u);
   expectGpuRunsBitIdentical(s1, x1, s2, x2);
   expectGpuRunsBitIdentical(s1, x1, s4, x4);
@@ -120,32 +130,64 @@ TEST(GpuIcdDeterminism, BitIdenticalAcrossThreadCounts) {
 TEST(GpuIcdDeterminism, SerialPoolMatchesGlobalPool) {
   ThreadPool p1(1);
   Image2D xs, xg;
-  const auto ss = runGpuWith(&p1, 128, xs);
-  const auto sg = runGpuWith(nullptr, 128, xg);  // process-wide pool
+  const auto ss = runGpuWith(&p1, xs);
+  const auto sg = runGpuWith(nullptr, xg);  // process-wide pool
   expectGpuRunsBitIdentical(ss, xs, sg, xg);
 }
 
-TEST(GpuIcdDeterminism, ChunkCacheIsPureOptimization) {
+TEST(GpuIcdDeterminism, FreshAndWarmedMatrixRunsAreBitIdentical) {
+  const OwnedProblem problem = freshTinyProblem();
   ThreadPool p2(2);
-  Image2D xc, xn;
-  const auto cached = runGpuWith(&p2, 128, xc);
-  const auto uncached = runGpuWith(&p2, 0, xn);
-  expectGpuRunsBitIdentical(cached, xc, uncached, xn);
-  // Iteration 1 visits every SV, so by iteration 2 the top-fraction
-  // selection must re-use cached plans.
-  EXPECT_GT(cached.chunk_cache_hits, 0u);
-  EXPECT_EQ(uncached.chunk_cache_hits, 0u);
-  EXPECT_GT(uncached.chunk_cache_misses, cached.chunk_cache_misses);
+  Image2D x_cold, x_warm, x_shared;
+  const auto cold = runGpuWith(&p2, x_cold, 3, nullptr, problem);
+  const auto warm = runGpuWith(&p2, x_warm, 3, nullptr, problem);
+  expectGpuRunsBitIdentical(cold, x_cold, warm, x_warm);
+  // The cold run builds each SV it touches once and re-uses it on later
+  // iterations; the warmed run builds nothing.
+  EXPECT_GT(cold.chunk_cache_misses, 0u);
+  EXPECT_GT(cold.chunk_cache_hits, 0u);
+  EXPECT_EQ(warm.chunk_cache_misses, 0u);
+  EXPECT_EQ(warm.chunk_cache_hits,
+            cold.chunk_cache_hits + cold.chunk_cache_misses);
+  // The same problem on the fixture's long-lived matrix: same bits.
+  const auto shared = runGpuWith(&p2, x_shared);
+  expectGpuRunsBitIdentical(cold, x_cold, shared, x_shared);
 }
 
-TEST(GpuIcdDeterminism, TinyCacheCapacityStillCorrect) {
-  // Capacity below the batch size: the cache must pin the live batch and
-  // still produce identical results.
-  ThreadPool p2(2);
-  Image2D xa, xb;
-  const auto a = runGpuWith(&p2, 1, xa);
-  const auto b = runGpuWith(&p2, 128, xb);
-  expectGpuRunsBitIdentical(a, xa, b, xb);
+TEST(GpuIcdDeterminism, ConcurrentFirstUsersBuildEachSvOnce) {
+  // A serial run on a cold matrix of its own: each unit is built once per
+  // matrix, so its misses count the distinct SVs a run touches.
+  ThreadPool pool(4);
+  const OwnedProblem serial_problem = freshTinyProblem();
+  Image2D x_serial;
+  const auto serial = runGpuWith(&pool, x_serial, 3, nullptr, serial_problem);
+  ASSERT_GT(serial.chunk_cache_misses, 0u);
+
+  // Four engines start at once on one cold matrix.
+  const OwnedProblem problem = freshTinyProblem();
+  constexpr int kRuns = 4;
+  std::vector<GpuRunStats> stats(kRuns);
+  std::vector<Image2D> xs(kRuns);
+  std::latch start(kRuns);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kRuns; ++i)
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      stats[std::size_t(i)] =
+          runGpuWith(&pool, xs[std::size_t(i)], 3, nullptr, problem);
+    });
+  for (std::thread& t : threads) t.join();
+
+  std::size_t misses = 0;
+  for (int i = 0; i < kRuns; ++i) {
+    SCOPED_TRACE("run " + std::to_string(i));
+    const GpuRunStats& s = stats[std::size_t(i)];
+    misses += s.chunk_cache_misses;
+    EXPECT_EQ(s.chunk_cache_hits + s.chunk_cache_misses,
+              serial.chunk_cache_hits + serial.chunk_cache_misses);
+    expectGpuRunsBitIdentical(serial, x_serial, s, xs[std::size_t(i)]);
+  }
+  EXPECT_EQ(misses, serial.chunk_cache_misses);
 }
 
 // ---------- observability is purely observational ----------
@@ -161,10 +203,14 @@ TEST(GpuIcdDeterminism, ObservabilityDoesNotPerturbResults) {
 
   for (int threads : {1, 2, 4}) {
     ThreadPool pool(threads);
+    // Each run on a cold matrix of its own, so both build the same units
+    // and their table hits and misses can be compared one by one.
+    const OwnedProblem plain_problem = freshTinyProblem();
+    const OwnedProblem observed_problem = freshTinyProblem();
     Image2D x_plain, x_obs;
-    const auto plain = runGpuWith(&pool, 128, x_plain);
+    const auto plain = runGpuWith(&pool, x_plain, 3, nullptr, plain_problem);
     obs::Recorder rec(ocfg);
-    const auto observed = runGpuWith(&pool, 128, x_obs, 3, &rec);
+    const auto observed = runGpuWith(&pool, x_obs, 3, &rec, observed_problem);
     expectGpuRunsBitIdentical(plain, x_plain, observed, x_obs);
     EXPECT_EQ(plain.chunk_cache_hits, observed.chunk_cache_hits);
     EXPECT_EQ(plain.chunk_cache_misses, observed.chunk_cache_misses);
@@ -178,11 +224,14 @@ TEST(GpuIcdDeterminism, ObservabilityDoesNotPerturbResults) {
 TEST(GpuIcdDeterminism, RecorderSeesSameCountsForAnyThreadCount) {
   obs::ObsConfig ocfg;
   ocfg.metrics = true;
+  // Each run on a cold matrix of its own, so both build the same units.
+  const OwnedProblem problem1 = freshTinyProblem();
+  const OwnedProblem problem4 = freshTinyProblem();
   Image2D x1, x4;
   ThreadPool p1(1), p4(4);
   obs::Recorder r1(ocfg), r4(ocfg);
-  runGpuWith(&p1, 128, x1, 3, &r1);
-  runGpuWith(&p4, 128, x4, 3, &r4);
+  runGpuWith(&p1, x1, 3, &r1, problem1);
+  runGpuWith(&p4, x4, 3, &r4, problem4);
   for (const char* name :
        {"gsim.launch.count", "gsim.launch.blocks", "gsim.launch.flops",
         "gsim.launch.svb_access_bytes", "gpuicd.chunk_cache.hits",
@@ -191,6 +240,7 @@ TEST(GpuIcdDeterminism, RecorderSeesSameCountsForAnyThreadCount) {
     EXPECT_EQ(r1.metrics().counterValue(name), r4.metrics().counterValue(name))
         << name;
   }
+  EXPECT_GT(r1.metrics().counterValue("gpuicd.chunk_cache.misses"), 0u);
 }
 
 }  // namespace

@@ -21,7 +21,7 @@ using sched::SchedulerOptions;
 
 // Heterogeneous job mix: all three engines (PSV pinned to one thread — the
 // only deterministic PSV mode, DESIGN.md §7), convergence and fixed-budget
-// stops, and GPU variants that exercise different kernels and cache paths.
+// stops, and GPU variants that exercise different kernels and layouts.
 std::vector<RunConfig> heterogeneousJobs() {
   std::vector<RunConfig> jobs;
 
@@ -41,11 +41,6 @@ std::vector<RunConfig> heterogeneousJobs() {
   gpu_exact.stop_rmse_hu = -1.0;
   gpu_exact.gpu.flags.quantize_amatrix = false;
   jobs.push_back(gpu_exact);
-
-  RunConfig gpu_nocache = test::tinyRunConfig(Algorithm::kGpuIcd, 4.0);
-  gpu_nocache.stop_rmse_hu = -1.0;
-  gpu_nocache.gpu.chunk_cache_capacity = 0;
-  jobs.push_back(gpu_nocache);
 
   RunConfig gpu_intra = test::tinyRunConfig(Algorithm::kGpuIcd, 4.0);
   gpu_intra.stop_rmse_hu = -1.0;
